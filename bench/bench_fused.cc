@@ -4,7 +4,7 @@
 //
 //   bench_fused [--smoke] [--gate=<threshold-file>] [--out=BENCH_fused.json]
 //
-// For each app (FIR, Vocoder, FilterBank) we measure five implementations of
+// For each app (FIR, Vocoder, FilterBank) we measure four implementations of
 // the same computation:
 //
 //   handwritten  plain C++ loop nests over flat arrays -- same LCG source,
@@ -15,15 +15,14 @@
 //                bounds interpreter overhead from below.
 //   tree         sequential Executor, tree-walking interpreter
 //   vm           sequential Executor, per-actor bytecode VM
-//   fused        sequential Executor, whole-program fused trace with
-//                superinstructions, tagged registers (SIT_TYPED=0)
-//   typed        the fused trace lowered onto the dual-plane (unboxed
-//                double) register file where type inference proves it safe
-//                (SIT_TYPED=1, the default)
+//   typed        sequential Executor, whole-program fused trace with
+//                superinstructions on the dual-plane (unboxed double)
+//                register file (Engine::Fused, SIT_TYPED=1, the default)
 //
-// tree/vm/fused pin typed mode off so their numbers stay comparable with
-// history; the typed row is the same trace with only the value plane
-// changed, so typed/fused isolates the unboxing win.
+// tree/vm pin typed mode off so their numbers stay comparable with history;
+// typed/vm is then the whole fused engine's win over per-actor dispatch.
+// (There is no tagged fused row: the fused trace only runs typed, and with
+// typed off Engine::Fused is the per-actor VM.)
 //
 // Throughput is items emitted by the source actor per second, the same
 // normalization as bench_scaling.  Results land in BENCH_fused.json
@@ -32,10 +31,9 @@
 // superinstructions were selected, how many channels were lowered, and the
 // typed_actors / typed_regs / typed_channels specialization counters.
 //
-// --gate reads thresholds from a checked-in file (bench/fused_gate.txt):
-// the first number is the minimum fused/vm throughput ratio on FIR, an
-// optional second number the minimum typed/fused ratio.  Exit is nonzero
-// when either regresses.  The gate self-skips (exit 0, with a notice) on
+// --gate reads a threshold from a checked-in file (bench/fused_gate.txt):
+// the minimum typed/vm throughput ratio on FIR.  Exit is nonzero when it
+// regresses.  The gate self-skips (exit 0, with a notice) on
 // sanitizer builds -- instrumentation swamps dispatch cost -- and on
 // single-cpu hosts where timer noise dominates.
 
@@ -261,25 +259,19 @@ double handwritten_rate(Kernel&& kernel, std::int64_t units, std::int64_t items_
   return ms > 0 ? 1000.0 * calls * units * items_per_unit / ms : 0.0;
 }
 
-// All numbers in the file, in order (comments stripped).  The first is the
-// fused/vm floor, an optional second the typed/fused floor.
-std::vector<double> read_thresholds(const std::string& path) {
-  std::vector<double> out;
+// The first number in the file (comments stripped): the typed/vm floor.
+// Returns -1 when the file is unreadable or holds no number.
+double read_threshold(const std::string& path) {
   std::ifstream f(path);
-  if (!f) return out;
   std::string line;
   while (std::getline(f, line)) {
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
-    const char* p = line.c_str();
     char* end = nullptr;
-    for (double v = std::strtod(p, &end); end != p;
-         v = std::strtod(p, &end)) {
-      out.push_back(v);
-      p = end;
-    }
+    const double v = std::strtod(line.c_str(), &end);
+    if (end != line.c_str()) return v;
   }
-  return out;
+  return -1.0;
 }
 
 struct BenchApp {
@@ -330,16 +322,14 @@ int main(int argc, char** argv) {
   } engines[] = {
       {"tree", sit::sched::Engine::Tree, sit::sched::TypedMode::Off},
       {"vm", sit::sched::Engine::Vm, sit::sched::TypedMode::Off},
-      {"fused", sit::sched::Engine::Fused, sit::sched::TypedMode::Off},
       {"typed", sit::sched::Engine::Fused, sit::sched::TypedMode::On},
   };
-  constexpr int kEngines = 4;
+  constexpr int kEngines = 3;
 
   std::vector<sit::bench::BenchRecord> records;
   sit::obs::MetricsSnapshot metrics;
   bool have_metrics = false;
-  double fir_fused_over_vm = -1.0;
-  double fir_typed_over_fused = -1.0;
+  double fir_typed_over_vm = -1.0;
 
   std::printf("%-12s %-12s %14s %8s %8s\n", "app", "engine", "items/s",
               "vs-vm", "vs-hand");
@@ -347,7 +337,7 @@ int main(int argc, char** argv) {
   for (const auto& b : benches) {
     const double hand = handwritten_rate(b.handwritten, b.units,
                                          b.items_per_unit, min_ms, max_batches);
-    double rates[kEngines] = {0, 0, 0, 0};
+    double rates[kEngines] = {0, 0, 0};
     int typed_regs = 0;
     int typed_channels = 0;
     for (int e = 0; e < kEngines; ++e) {
@@ -396,13 +386,9 @@ int main(int argc, char** argv) {
         rec.metrics.emplace_back("typed_channels", typed_channels);
       }
       records.push_back(std::move(rec));
-      if (std::strcmp(b.name, "FIR") == 0) {
-        if (std::strcmp(engines[e].name, "fused") == 0) {
-          fir_fused_over_vm = vs_vm;
-        } else if (std::strcmp(engines[e].name, "typed") == 0 &&
-                   rates[2] > 0) {
-          fir_typed_over_fused = rates[e] / rates[2];
-        }
+      if (std::strcmp(b.name, "FIR") == 0 &&
+          std::strcmp(engines[e].name, "typed") == 0) {
+        fir_typed_over_vm = vs_vm;
       }
     }
     sit::bench::rule(60);
@@ -427,21 +413,15 @@ int main(int argc, char** argv) {
       std::printf("gate: skipped -- single-cpu host, timer noise dominates\n");
       return 0;
     }
-    const std::vector<double> thresholds = read_thresholds(gate_file);
-    if (thresholds.empty() || thresholds[0] <= 0.0) {
+    const double threshold = read_threshold(gate_file);
+    if (threshold <= 0.0) {
       std::fprintf(stderr, "gate: unreadable threshold file %s\n",
                    gate_file.c_str());
       return 2;
     }
-    bool pass = fir_fused_over_vm >= thresholds[0];
-    std::printf("gate: FIR fused/vm = %.2f (>= %.2f) %s\n", fir_fused_over_vm,
-                thresholds[0], pass ? "ok" : "FAIL");
-    if (thresholds.size() > 1 && thresholds[1] > 0.0) {
-      const bool tpass = fir_typed_over_fused >= thresholds[1];
-      std::printf("gate: FIR typed/fused = %.2f (>= %.2f) %s\n",
-                  fir_typed_over_fused, thresholds[1], tpass ? "ok" : "FAIL");
-      pass = pass && tpass;
-    }
+    const bool pass = fir_typed_over_vm >= threshold;
+    std::printf("gate: FIR typed/vm = %.2f (>= %.2f) %s\n", fir_typed_over_vm,
+                threshold, pass ? "ok" : "FAIL");
     if (!pass) {
       std::fprintf(stderr, "gate: fused engine regressed below %s\n",
                    gate_file.c_str());

@@ -1,7 +1,5 @@
 #include "analysis/analyze.h"
 
-#include <stdexcept>
-
 #include "analysis/constprop.h"
 #include "analysis/definite_init.h"
 #include "analysis/graph_checks.h"
@@ -47,17 +45,6 @@ AnalysisResult analyze(const ir::NodeP& root) {
     check_graph(root, r.diagnostics);
   }
   return r;
-}
-
-void check_or_throw(const ir::NodeP& root) {
-  const AnalysisResult r = analyze(root);
-  if (r.ok()) return;
-  std::vector<Diagnostic> errs;
-  for (const auto& d : r.diagnostics) {
-    if (d.is_error()) errs.push_back(d);
-  }
-  throw std::runtime_error("stream program failed static analysis:\n" +
-                           render(errs));
 }
 
 }  // namespace sit::analysis

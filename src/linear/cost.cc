@@ -1,6 +1,8 @@
 #include "linear/cost.h"
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "obs/costmodel.h"
@@ -32,22 +34,30 @@ double ast_size(const ir::ExprP& e) {
   return 1 + ast_size(e->a) + ast_size(e->b) + ast_size(e->c);
 }
 
+// estimate_work's memo size below which expired entries are never swept.
+constexpr std::size_t kMinSweep = 1024;
+
 }  // namespace
 
 runtime::OpCounts estimate_work(const ir::FilterSpec& spec) {
-  // Memoize on the work AST.  The cache must hold a shared_ptr to the AST:
-  // keying on a raw pointer alone would let a freed AST's address be reused
-  // by a fresh allocation and serve a stale estimate.
+  // Memoize on the work AST without owning it.  An entry hits only while its
+  // AST is alive: keying on a raw pointer alone would let a freed AST's
+  // address be reused by a fresh allocation and serve a stale estimate.
+  // Expired entries are swept whenever the map doubles, so the memo stays
+  // bounded by the live ASTs instead of pinning every AST it ever saw.
   struct Entry {
-    ir::StmtP pin;
+    std::weak_ptr<const ir::Stmt> ast;
     runtime::OpCounts counts;
   };
   static std::map<const ir::Stmt*, Entry> cache;
+  static std::size_t sweep_at = kMinSweep;
   static std::mutex mu;
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = cache.find(spec.work.get());
-    if (it != cache.end()) return it->second.counts;
+    if (it != cache.end() && !it->second.ast.expired()) {
+      return it->second.counts;
+    }
   }
 
   runtime::OpCounts counts;
@@ -62,6 +72,11 @@ runtime::OpCounts estimate_work(const ir::FilterSpec& spec) {
   }
   {
     std::lock_guard<std::mutex> lock(mu);
+    if (cache.size() >= sweep_at) {
+      std::erase_if(cache,
+                    [](const auto& kv) { return kv.second.ast.expired(); });
+      sweep_at = std::max(kMinSweep, 2 * cache.size());
+    }
     cache[spec.work.get()] = Entry{spec.work, counts};
   }
   return counts;

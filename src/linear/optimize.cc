@@ -308,11 +308,6 @@ NodeP optimize_selection(const NodeP& root, const OptimizeOptions& opts,
   return ir::clone(b.node);
 }
 
-NodeP optimize(const NodeP& root, const OptimizeOptions& opts,
-               OptimizeStats* stats) {
-  return optimize_selection(root, opts, stats);
-}
-
 std::optional<LinearRep> extract_tree(const NodeP& node,
                                       const OptimizeOptions& opts) {
   switch (node->kind) {

@@ -70,13 +70,6 @@ ir::NodeP optimize_selection(const ir::NodeP& root,
                              const OptimizeOptions& opts = {},
                              OptimizeStats* stats = nullptr);
 
-// Deprecated alias of optimize_selection (the historical entry-point name).
-[[deprecated(
-    "use opt::compile() with the linear-combine / frequency passes, or "
-    "linear::optimize_selection for a bare graph-to-graph rewrite")]]
-ir::NodeP optimize(const ir::NodeP& root, const OptimizeOptions& opts = {},
-                   OptimizeStats* stats = nullptr);
-
 // Extraction over a whole subtree: the linear rep of the subtree's stream
 // function if every leaf is linear and the structure is combinable.
 std::optional<LinearRep> extract_tree(const ir::NodeP& node,

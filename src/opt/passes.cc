@@ -245,10 +245,9 @@ class ThreadedPrepPass final : public Pass {
   }
   PassResult run(const NodeP& root, PassContext& ctx) override {
     if (ctx.options.threads <= 1) return {root, false};
-    // The historical prepare_threaded recipe: selective fusion only when an
-    // explicit actor budget asks for it, then fiss with a permissive share
-    // gate.  The `coarsen` pass below is the batched runtime's stricter
-    // successor.
+    // Selective fusion only when an explicit actor budget asks for it, then
+    // fiss with a permissive share gate.  The `coarsen` pass below is the
+    // batched runtime's stricter successor.
     NodeP g = root;
     if (ctx.options.target_actors > 0 &&
         ir::count_filters(g) > ctx.options.target_actors) {

@@ -65,20 +65,4 @@ ir::NodeP fine_grained_parallelize(const ir::NodeP& root, int cores);
 ir::NodeP coarsen_for_threads(const ir::NodeP& root, int threads,
                               int max_actors = 0);
 
-// Shape a graph for the threaded runtime (sched::ThreadedExecutor): expose
-// enough data parallelism for `threads` workers via data_parallelize.  If
-// `max_actors` > 0, first apply selective_fusion down to that many leaves so
-// fine-grained graphs do not drown the workers in per-actor overhead.  The
-// executor itself never transforms the graph -- callers opt in with this.
-//
-// Deprecated shim for whole-program compilation: the `threaded-prep` pass
-// (opt/pass_manager.h) wraps this; opt::compile() with a pass spec
-// containing it produces a CompiledProgram the ThreadedExecutor consumes
-// directly, with per-pass stats recorded.
-[[deprecated(
-    "use opt::compile() with a pass spec containing threaded-prep; call this "
-    "only for a bare graph-to-graph rewrite")]]
-ir::NodeP prepare_threaded(const ir::NodeP& root, int threads,
-                           int max_actors = 0);
-
 }  // namespace sit::parallel

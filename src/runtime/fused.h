@@ -40,6 +40,11 @@
 //   copy-run       n x { pop(src); push(dst) }       (round-robin routing)
 //   dup-run        n x { pop(src); push(all dsts) }  (duplicate splitters)
 //
+// This file builds the trace; runtime/typed.h executes it.  build_typed_fused
+// lowers it onto the dual-plane register file and TypedFusedExec runs that
+// lowering.  When the lowering refuses (mixed-register, mixed-state, ...),
+// the executor runs the steady state per-actor on the VM instead.
+//
 // Bit-equality contract: for any admissible program, running the trace
 // produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
 // cumulative push/pop counters identical to the per-actor VM execution.
@@ -192,10 +197,6 @@ struct FusedProgram {
 
 using FusedProgramP = std::shared_ptr<const FusedProgram>;
 
-struct FusedBuildOptions {
-  bool superinstructions{true};  // peephole selection (off: plain flat trace)
-};
-
 // Build the fused trace for one steady-state iteration.  `order`/`reps` are
 // the single-appearance schedule; `carry`/`traffic` are the per-edge sizing
 // from analysis::fuse_plan (carry < 0 marks a boundary edge).  Returns
@@ -205,56 +206,6 @@ FusedProgramP build_fused(const FlatGraph& g, const std::vector<int>& order,
                           const std::vector<std::int64_t>& reps,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,
-                          std::string* reason = nullptr,
-                          const FusedBuildOptions& opts = {});
-
-// A fused program bound to one executor's storage (FilterStates, boundary
-// Channels, NativeStates).  Usage per run_steady call:
-//
-//   if (fx.activate()) {           // lower internal channels to buffers
-//     for each iteration: fx.run_iteration(counts);
-//     fx.deactivate();             // restore carried items to the channels
-//   }
-//
-// activate() refuses (returns false) when some internal channel does not
-// hold exactly its steady-state carry -- e.g. after manual fire() calls
-// left the graph mid-iteration -- in which case the caller should run the
-// iteration per-actor instead.  run_iteration advances every lowered
-// channel's cumulative counters by its traffic, executes one whole steady
-// state, and compacts each buffer's carried items back to the front.
-class FusedExec {
- public:
-  FusedExec(FusedProgramP prog, std::vector<FilterState>& states,
-            const std::vector<std::unique_ptr<Channel>>& chans,
-            const std::vector<std::unique_ptr<ir::NativeState>>& nstates);
-
-  bool activate();
-  void deactivate();
-  // `actor_counts` may be null (counting compiled out of the dispatch loop).
-  void run_iteration(OpCounts* actor_counts);
-  [[nodiscard]] bool active() const { return active_; }
-  [[nodiscard]] const FusedProgram& program() const { return *prog_; }
-
- private:
-  template <bool kCount>
-  void run(OpCounts* actor_counts);
-  void finish_iteration();
-
-  struct EdgeState {
-    std::vector<double> buf;  // sized carry + traffic
-    std::size_t rd{0}, wr{0};
-  };
-  class BufIn;
-  class BufOut;
-
-  FusedProgramP prog_;
-  std::vector<ir::Value> regs_;
-  std::vector<ir::Value*> scalars_;
-  std::vector<std::vector<ir::Value>*> arrays_;
-  std::vector<Channel*> chans_;
-  std::vector<ir::NativeState*> nstates_;
-  std::vector<EdgeState> ebuf_;
-  bool active_{false};
-};
+                          std::string* reason = nullptr);
 
 }  // namespace sit::runtime

@@ -196,14 +196,25 @@ TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
                                      const std::vector<FilterState>& states,
                                      std::string* refusal = nullptr);
 
-// The typed twin of FusedExec.  Same activation protocol; additionally
-// mirrors every filter state scalar/array into raw plane storage for the
-// duration of an activation (written back on deactivate), which is what
-// lets the mac-loop run as `for (i) acc += src[i] * coef[i]` over raw
-// double spans.  activate() also re-validates that every state tag still
-// matches its inferred class -- a mismatch (e.g. a teleport handler retagged
-// a scalar between runs) returns false and the caller falls back to the
-// tagged fused trace.
+// The fused-trace executor, bound to one executor's storage (FilterStates,
+// boundary Channels, NativeStates).  Usage per run_steady call:
+//
+//   if (fx.activate()) {           // lower internal channels to buffers
+//     for each iteration: fx.run_iteration(counts);
+//     fx.deactivate();             // restore carried items to the channels
+//   }
+//
+// activate() refuses (returns false) when some internal channel does not
+// hold exactly its steady-state carry -- e.g. after manual fire() calls left
+// the graph mid-iteration -- or when some state tag no longer matches its
+// inferred class (e.g. a teleport handler retagged a scalar between runs);
+// the caller then runs the iteration per-actor on the VM instead.  For the
+// duration of an activation every filter state scalar/array is mirrored into
+// raw plane storage (written back on deactivate), which is what lets the
+// mac-loop run as `for (i) acc += src[i] * coef[i]` over raw double spans.
+// run_iteration advances every lowered channel's cumulative counters by its
+// traffic, executes one whole steady state, and compacts each buffer's
+// carried items back to the front.
 class TypedFusedExec {
  public:
   TypedFusedExec(TypedFusedProgramP prog, std::vector<FilterState>& states,

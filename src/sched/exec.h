@@ -54,8 +54,10 @@ bool resolve_trace(TraceMode mode);
 
 // Typed (unboxed dual-plane) value specialization: Off keeps every actor on
 // the tagged engines; On and Auto both specialize wherever the typeflow
-// analysis (runtime/typed.h) proves it safe, with tagged fallback per
-// actor/trace where it refuses.  Auto consults SIT_TYPED (default on).
+// analysis (runtime/typed.h) proves it safe, with tagged fallback per actor
+// where it refuses.  Engine::Fused needs it: its trace only runs typed, so
+// with typed off (or the trace refused) steady states run per-actor.  Auto
+// consults SIT_TYPED (default on).
 enum class TypedMode { Auto, Off, On };
 
 // Resolve Auto against SIT_TYPED (other values pass through).
@@ -156,8 +158,9 @@ class Executor {
     return typed_refusal_[static_cast<std::size_t>(actor)];
   }
   // The specialized work program for one actor (null when tagged), and the
-  // whole-trace typed fused program (Engine::Fused; null when the trace
-  // stayed tagged, with typed_fused_refusal() carrying the stable reason).
+  // whole-trace typed fused program (Engine::Fused; null when the lowering
+  // refused, with typed_fused_refusal() carrying the stable reason -- steady
+  // states then run per-actor).
   [[nodiscard]] const runtime::TypedFilter* typed_program(int actor) const {
     const auto& p = tbf_[static_cast<std::size_t>(actor)];
     return p ? &p->program() : nullptr;
@@ -170,9 +173,10 @@ class Executor {
   }
 
   // Fused engine introspection (Engine::Fused only).  fused_program() is the
-  // whole-iteration trace run_steady executes, or null when fusion was
-  // refused -- in which case fused_refusal() carries the stable reason
-  // (analysis/fuse.h) and steady states run per-actor on the VM instead.
+  // whole-iteration trace run_steady executes through its typed lowering, or
+  // null when fusion was refused -- in which case fused_refusal() carries the
+  // stable reason (analysis/fuse.h) and steady states run per-actor on the VM
+  // instead.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
     return fprog_ ? fprog_.get() : nullptr;
   }
@@ -230,12 +234,11 @@ class Executor {
   bool typed_on_{false};
   std::vector<std::unique_ptr<runtime::TypedBound>> tbf_;
   std::vector<std::string> typed_refusal_;
-  // Fused steady-state trace (Engine::Fused; null when fusion was refused).
+  // Fused steady-state trace (Engine::Fused; null when fusion was refused)
+  // and its typed lowering, which is what run_steady executes.  Without the
+  // typed lowering the trace never runs: steady states go per-actor.
   runtime::FusedProgramP fprog_;
-  std::unique_ptr<runtime::FusedExec> fexec_;
   std::string fused_refusal_;
-  // Typed twin of the fused trace (preferred by run_steady when its
-  // activation succeeds; the tagged trace stays as fallback).
   runtime::TypedFusedProgramP tfprog_;
   std::unique_ptr<runtime::TypedFusedExec> tfexec_;
   std::string typed_fused_refusal_;

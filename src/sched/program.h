@@ -30,12 +30,13 @@ namespace sit::sched {
 // *per filter* for anything outside the bytecode subset; Tree forces the
 // tree interpreter everywhere.  Fused additionally compiles one whole
 // steady-state iteration into a single flat bytecode trace with
-// superinstructions (runtime/fused.h) and runs it when the program is
-// admissible (analysis/fuse.h), falling back to per-actor VM execution --
-// whole-program, not per-filter -- when it is not.  Auto resolves from the
-// SIT_ENGINE environment variable ("tree", "vm", or "fused"), defaulting to
-// Vm -- which lets CI run the whole test suite under any engine without code
-// changes.
+// superinstructions (runtime/fused.h) and runs it on the typed dual-plane
+// register file (runtime/typed.h) when the program is admissible
+// (analysis/fuse.h) and typeflow accepts the whole trace, falling back to
+// per-actor VM execution -- whole-program, not per-filter -- when not.  Auto
+// resolves from the SIT_ENGINE environment variable ("tree", "vm", or
+// "fused"), defaulting to Vm -- which lets CI run the whole test suite under
+// any engine without code changes.
 enum class Engine { Auto, Tree, Vm, Fused };
 
 struct CompiledProgram {

@@ -14,12 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "analysis/fuse.h"
 #include "apps/apps.h"
 #include "ir/dsl.h"
 #include "runtime/fused.h"
 #include "sched/exec.h"
-#include "sched/schedule.h"
 
 namespace sit {
 namespace {
@@ -112,21 +110,6 @@ TEST(FusedSuper, DesHasNoSuperinstructionPatterns) {
   auto ex = make_fused(apps::make_app("DES"));
   const runtime::FusedProgram* fp = ex.fused_program();
   ASSERT_NE(fp, nullptr) << ex.fused_refusal();
-  EXPECT_TRUE(fp->super.empty());
-}
-
-TEST(FusedSuper, SelectionCanBeDisabled) {
-  const ir::NodeP root = apps::make_app("FIR");  // FlatActor::node is non-owning
-  const runtime::FlatGraph g = runtime::flatten(root);
-  const sched::Schedule s = sched::make_schedule(g);
-  const analysis::FusePlan plan = analysis::fuse_plan(g, s);
-  ASSERT_TRUE(plan.admissible) << plan.refusal;
-  runtime::FusedBuildOptions off;
-  off.superinstructions = false;
-  std::string reason;
-  const auto fp = runtime::build_fused(g, s.order, s.reps, plan.carry,
-                                       plan.traffic, &reason, off);
-  ASSERT_NE(fp, nullptr) << reason;
   EXPECT_TRUE(fp->super.empty());
 }
 
@@ -250,8 +233,13 @@ TEST(FusedRefusal, MetricsCarryRefusalDetail) {
 }
 
 TEST(FusedMetrics, ActiveTraceReportsChannelAndSuperStatics) {
-  auto ex = make_fused(apps::make_app("FIR"));
-  ASSERT_NE(ex.fused_program(), nullptr);
+  // The trace runs only through its typed lowering (SIT_TYPED=0 would run
+  // per-actor and report fused-refused), so pin typed on.
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  opts.typed = sched::TypedMode::On;
+  sched::Executor ex(apps::make_app("FIR"), opts);
+  ASSERT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
   const obs::MetricsSnapshot m = ex.metrics_snapshot();
   EXPECT_EQ(m.engine, "fused");
   EXPECT_EQ(m.fallback, "none");

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 
 #include "ir/dsl.h"
 #include "linear/combine.h"
+#include "linear/cost.h"
 #include "linear/extract.h"
 #include "linear/frequency.h"
 #include "linear/linear_rep.h"
@@ -530,6 +532,31 @@ TEST(Optimize, ExtractTreeOnSplitJoin) {
   EXPECT_EQ(rep->pop, 1);
   EXPECT_EQ(rep->push, 2);
   EXPECT_EQ(rep->peek, 2);
+}
+
+// ---- work estimation ----------------------------------------------------------
+
+TEST(Cost, EstimateWorkMemoDoesNotOwnTheAst) {
+  // The memo must not own the work AST: every compile mints fresh ones
+  // (linear combination makes large ones), and an owning memo would keep
+  // them all alive for the life of the process.
+  NodeP fir = fir_node("memo_fir", {0.5, 0.25, 0.125});
+  const ir::FilterSpec& spec = fir->filter;
+  const long before = spec.work.use_count();
+  const runtime::OpCounts first = estimate_work(spec);
+  EXPECT_EQ(spec.work.use_count(), before);
+  EXPECT_GT(first.flops, 0);
+
+  const runtime::OpCounts second = estimate_work(spec);  // memo hit
+  EXPECT_EQ(spec.work.use_count(), before);
+  EXPECT_EQ(second.flops, first.flops);
+  EXPECT_EQ(second.int_ops, first.int_ops);
+  EXPECT_EQ(second.mem, first.mem);
+  EXPECT_EQ(second.channel, first.channel);
+
+  const std::weak_ptr<const ir::Stmt> ast = spec.work;
+  fir.reset();
+  EXPECT_TRUE(ast.expired());
 }
 
 }  // namespace

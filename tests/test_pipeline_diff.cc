@@ -22,6 +22,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -72,16 +74,22 @@ sched::CompiledProgram compile_level(const std::string& app, OptLevel level) {
 
 // ---- 1. engines are interchangeable at every level --------------------------
 
+// gtest lists each case with the raw bytes of its parameter, so the
+// parameter holds two padding-free indices rather than a pointer: a pointer's
+// value moves with the test binary's layout and would rename the case.
 struct LevelCase {
-  const char* app;
-  OptLevel level;
+  std::size_t app;    // index into apps::all_apps()
+  std::size_t level;  // 0, 1, 2 for -O0, -O1, -O2
 };
+
+constexpr OptLevel kLevels[] = {OptLevel::O0, OptLevel::O1, OptLevel::O2};
 
 class EngineDiffP : public ::testing::TestWithParam<LevelCase> {};
 
 TEST_P(EngineDiffP, EnginesBitEqualOnCompiledArtifact) {
   const sched::CompiledProgram prog =
-      compile_level(GetParam().app, GetParam().level);
+      compile_level(apps::all_apps()[GetParam().app].name,
+                    kLevels[GetParam().level]);
 
   sched::ExecOptions topt;
   topt.engine = sched::Engine::Tree;
@@ -183,19 +191,17 @@ TEST_P(EngineDiffP, EnginesBitEqualOnCompiledArtifact) {
 
 std::vector<LevelCase> engine_cases() {
   std::vector<LevelCase> cases;
-  for (const auto& info : apps::all_apps()) {
-    for (OptLevel level : {OptLevel::O0, OptLevel::O1, OptLevel::O2}) {
-      cases.push_back({info.name.c_str(), level});
+  for (std::size_t app = 0; app < apps::all_apps().size(); ++app) {
+    for (std::size_t level = 0; level < std::size(kLevels); ++level) {
+      cases.push_back({app, level});
     }
   }
   return cases;
 }
 
 std::string case_name(const ::testing::TestParamInfo<LevelCase>& info) {
-  const int lvl = info.param.level == OptLevel::O0   ? 0
-                  : info.param.level == OptLevel::O1 ? 1
-                                                     : 2;
-  return std::string(info.param.app) + "_O" + std::to_string(lvl);
+  return apps::all_apps()[info.param.app].name + "_O" +
+         std::to_string(info.param.level);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, EngineDiffP,

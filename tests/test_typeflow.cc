@@ -210,6 +210,12 @@ TEST(TypedSpecialize, TypedOffDisablesBothLayers) {
   for (std::size_t i = 0; i < g.actors.size(); ++i) {
     EXPECT_FALSE(ex.actor_uses_typed(static_cast<int>(i)));
   }
+  // The fused trace only runs typed: Engine::Fused steps per-actor and the
+  // metrics name the reason.
+  const obs::MetricsSnapshot m = ex.metrics_snapshot();
+  EXPECT_EQ(m.fallback, "fused-refused");
+  EXPECT_EQ(m.fallback_detail, "typed-off");
+  EXPECT_EQ(m.fused_channels, -1);
 }
 
 TEST(TypedSpecialize, WholeGraphAnalysisMatchesExecutorOnFir) {
@@ -293,6 +299,35 @@ TEST(TypedRefusal, FusedTraceRefusalQualifiesTheActor) {
   ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
   EXPECT_EQ(ex.typed_fused_program(), nullptr);
   EXPECT_EQ(ex.typed_fused_refusal(), "mixed-register:mixr");
+  const obs::MetricsSnapshot m = ex.metrics_snapshot();
+  EXPECT_EQ(m.fallback, "fused-refused");
+  EXPECT_EQ(m.fallback_detail, "mixed-register:mixr");
+  EXPECT_EQ(m.fused_channels, -1);
+}
+
+TEST(TypedRefusal, FusedTraceRefusalRunsPerActorBitEqualToVm) {
+  // A refused typed lowering leaves the fused program built but idle: steady
+  // states run per-actor, exactly as Engine::Vm runs them.
+  const auto mk = [] {
+    return make_pipeline("p", {tiny_src("s"), mixed_register_filter("mixr")});
+  };
+  auto fused = make_exec(mk(), sched::Engine::Fused, sched::TypedMode::On);
+  auto vm = make_exec(mk(), sched::Engine::Vm, sched::TypedMode::On);
+  ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+  ASSERT_EQ(fused.typed_fused_program(), nullptr);
+  expect_bit_equal(fused.run_steady(6), vm.run_steady(6), "mixed-register");
+  EXPECT_EQ(fused.firings(), vm.firings());
+  ASSERT_EQ(fused.actor_ops().size(), vm.actor_ops().size());
+  for (std::size_t i = 0; i < vm.actor_ops().size(); ++i) {
+    const runtime::OpCounts& f = fused.actor_ops()[i];
+    const runtime::OpCounts& v = vm.actor_ops()[i];
+    EXPECT_EQ(f.int_ops, v.int_ops) << "actor " << i;
+    EXPECT_EQ(f.flops, v.flops) << "actor " << i;
+    EXPECT_EQ(f.divs, v.divs) << "actor " << i;
+    EXPECT_EQ(f.trans, v.trans) << "actor " << i;
+    EXPECT_EQ(f.mem, v.mem) << "actor " << i;
+    EXPECT_EQ(f.channel, v.channel) << "actor " << i;
+  }
 }
 
 TEST(TypedRefusal, FusedMixedStateQualifiesActorAndSlot) {
