@@ -31,6 +31,9 @@
 // superinstructions were selected, how many channels were lowered, and the
 // typed_actors / typed_regs / typed_channels specialization counters.
 //
+// Every run, smoke or not, fails when any row's items_per_sec is not a
+// finite positive rate.
+//
 // --gate reads a threshold from a checked-in file (bench/fused_gate.txt):
 // the minimum typed/vm throughput ratio on FIR.  Exit is nonzero when it
 // regresses.  The gate self-skips (exit 0, with a notice) on
@@ -401,6 +404,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s (%zu records)\n", out_path.c_str(), records.size());
+
+  // Every configuration must have measured something: a zero, negative or
+  // non-finite rate means a run silently did no work.
+  for (const auto& rec : records) {
+    for (const auto& [key, value] : rec.metrics) {
+      if (key == "items_per_sec" && !(std::isfinite(value) && value > 0.0)) {
+        std::fprintf(stderr, "bench_fused: %s measured items_per_sec = %g\n",
+                     rec.name.c_str(), value);
+        return 1;
+      }
+    }
+  }
 
   if (!gate_file.empty()) {
     if (SIT_BENCH_SANITIZED) {

@@ -21,7 +21,6 @@
 #include "obs/costmodel.h"
 #include "obs/metrics.h"
 #include "parallel/strategies.h"
-#include "sched/envopts.h"
 #include "sched/exec.h"
 
 namespace sit::bench {
@@ -49,8 +48,9 @@ inline std::string json_escape(const std::string& s) {
 }
 
 // Provenance stamped into every BENCH_*.json so the perf trajectory stays
-// attributable across PRs: which commit, which work-function engine, and how
-// many worker threads the environment selects.
+// attributable across PRs: which commit, and (from the measured executor's
+// metrics snapshot) which engine, how many worker threads and which pass
+// pipeline actually ran.
 inline std::string bench_git_sha() {
   if (const char* sha = std::getenv("GITHUB_SHA")) return sha;
   std::array<char, 64> buf{};
@@ -89,7 +89,11 @@ inline std::int64_t bench_run_mono_ns() {
 
 // `metrics`, when non-null, embeds a full obs::MetricsSnapshot (per-actor /
 // per-edge / per-worker tables) under a "metrics" key, giving the perf
-// trajectory per-actor attribution instead of just end-to-end rates.
+// trajectory per-actor attribution instead of just end-to-end rates.  It is
+// also the only source of the header's "engine" / "threads" / "opt" stamps
+// (engine, worker threads and pass pipeline of the run it describes; an
+// empty pipeline is a raw graph with no passes).  Without a snapshot those
+// fields are left out rather than guessed from the environment.
 //
 // `max_threads`, when > 0, is the largest worker count the binary actually
 // measured (scaling sweeps measure several counts in one run, so the
@@ -104,16 +108,8 @@ inline bool write_bench_json(const std::string& path, const std::string& bench,
                              int max_threads = 0) {
   std::ofstream f(path);
   if (!f) return false;
-  // One consolidated environment snapshot (sched/envopts.h) supplies every
-  // provenance field, including the active optimization configuration: the
-  // SIT_OPT level and, when SIT_PASSES overrides the preset, the explicit
-  // pass spec.  Per-pass stats ride in the embedded metrics snapshot when
-  // the measured executor consumed a pipeline-compiled program.
-  const ExecEnv env = resolve_exec_options();
-  const char* engine = env.engine == sched::Engine::Vm      ? "vm"
-                       : env.engine == sched::Engine::Fused ? "fused"
-                                                            : "tree";
-  const int measured = max_threads > 0 ? max_threads : env.threads;
+  int measured = max_threads;
+  if (measured <= 0) measured = metrics != nullptr ? metrics->threads : 1;
   const unsigned cpus = std::thread::hardware_concurrency();
   const bool degraded = cpus > 0 && measured > static_cast<int>(cpus);
   if (degraded) {
@@ -127,12 +123,14 @@ inline bool write_bench_json(const std::string& path, const std::string& bench,
   // runs, so the trajectory must record the model (and its profile) too.
   const obs::CostModel& cmodel = obs::cost_model();
   f << "{\n  \"bench\": \"" << json_escape(bench) << "\",\n"
-    << "  \"git_sha\": \"" << json_escape(bench_git_sha()) << "\",\n"
-    << "  \"engine\": \"" << engine << "\",\n"
-    << "  \"threads\": " << env.threads << ",\n"
-    << "  \"opt\": {\"level\": " << env.opt_level << ", \"passes\": \""
-    << json_escape(env.passes) << "\"},\n"
-    << "  \"cost_model\": {\"source\": \"" << cmodel.source()
+    << "  \"git_sha\": \"" << json_escape(bench_git_sha()) << "\",\n";
+  if (metrics != nullptr) {
+    f << "  \"engine\": \"" << json_escape(metrics->engine) << "\",\n"
+      << "  \"threads\": " << metrics->threads << ",\n"
+      << "  \"opt\": {\"pipeline\": \"" << json_escape(metrics->pipeline)
+      << "\"},\n";
+  }
+  f << "  \"cost_model\": {\"source\": \"" << cmodel.source()
     << "\", \"profile\": \"" << json_escape(cmodel.profile_path()) << "\"},\n"
     << "  \"host\": {\"hostname\": \"" << json_escape(bench_hostname())
     << "\", \"cpus\": " << cpus << ", \"max_threads_measured\": " << measured

@@ -653,27 +653,6 @@ class TraceBuilder {
   std::vector<CompiledFilterP> compiled_;
 };
 
-// Tape stubs for natives at the graph boundary with no edge at all.
-class NullIn final : public ir::InTape {
- public:
-  double peek_item(int) override {
-    throw std::runtime_error("source filter attempted to peek");
-  }
-  double pop_item() override {
-    throw std::runtime_error("source filter attempted to pop");
-  }
-};
-
-class NullOut final : public ir::OutTape {
- public:
-  void push_item(double) override {
-    throw std::runtime_error("sink filter attempted to push");
-  }
-};
-
-NullIn g_null_in;
-NullOut g_null_out;
-
 }  // namespace
 
 FusedProgramP build_fused(const FlatGraph& g, const std::vector<int>& order,
@@ -1536,8 +1515,8 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         EdgeState dummy;
         BufIn bin(N.in_edge >= 0 && !N.in_real ? ebuf[N.in_edge] : dummy);
         BufOut bout(N.out_edge >= 0 && !N.out_real ? ebuf[N.out_edge] : dummy);
-        ir::InTape* in = &g_null_in;
-        ir::OutTape* out = &g_null_out;
+        ir::InTape* in = &null_in;
+        ir::OutTape* out = &null_out;
         if (N.in_edge >= 0) {
           in = N.in_real ? static_cast<ir::InTape*>(chans_[N.in_edge]) : &bin;
         }

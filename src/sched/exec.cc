@@ -16,31 +16,6 @@ using runtime::Channel;
 using runtime::FlatActor;
 using runtime::Interp;
 
-namespace {
-
-// Tape stubs for boundary filters (pure sources/sinks have no edge).
-class NullIn final : public ir::InTape {
- public:
-  double peek_item(int) override {
-    throw std::runtime_error("source filter attempted to peek");
-  }
-  double pop_item() override {
-    throw std::runtime_error("source filter attempted to pop");
-  }
-};
-
-class NullOut final : public ir::OutTape {
- public:
-  void push_item(double) override {
-    throw std::runtime_error("sink filter attempted to push");
-  }
-};
-
-NullIn g_null_in;
-NullOut g_null_out;
-
-}  // namespace
-
 // The env parsing lives in sched/envopts.cc (sit::resolve_exec_options);
 // these merge a caller-requested value with the environment default.
 Engine resolve_engine(Engine e) {
@@ -102,6 +77,8 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   for (const auto& e : g_.edges) {
     auto ch = std::make_unique<Channel>();
     ch->push_many(e.initial_items);
+    in_tapes_.push_back(ch.get());
+    out_tapes_.push_back(ch.get());
     chans_.push_back(std::move(ch));
   }
 
@@ -231,14 +208,35 @@ bool Executor::can_fire(int actor) const {
 
 void Executor::fire(int actor) {
   const auto ai = static_cast<std::size_t>(actor);
+  runtime::OpCounts* counts = nullptr;
+  if (opts_.count_ops) {
+    counts = &ops_[ai];
+  } else if (calib_ops_ != nullptr) {
+    counts = &(*calib_ops_)[ai];
+  }
+  fire(actor, counts, tb_);
+  for (const auto& ch : chans_) ch->note_high_water();
+}
+
+void Executor::fire(int actor, runtime::OpCounts* counts,
+                    obs::ThreadBuffer* tb) {
+  const auto ai = static_cast<std::size_t>(actor);
   const FlatActor& a = g_.actors[ai];
-  runtime::OpCounts* counts = opts_.count_ops ? &ops_[ai] : nullptr;
+  const auto in_tape = [&](std::size_t port) -> ir::InTape& {
+    const int eid = port < a.in_edges.size() ? a.in_edges[port] : -1;
+    return eid < 0 ? runtime::null_in
+                   : *in_tapes_[static_cast<std::size_t>(eid)];
+  };
+  const auto out_tape = [&](std::size_t port) -> ir::OutTape& {
+    const int eid = port < a.out_edges.size() ? a.out_edges[port] : -1;
+    return eid < 0 ? runtime::null_out
+                   : *out_tapes_[static_cast<std::size_t>(eid)];
+  };
 
   // Tracing: one branch when disabled; two clock reads plus a handful of
   // buffer appends per firing when enabled.  VM-backed filters report their
   // channel batches from inside the dispatch loop (measured); everything
   // else reports the static SDF rates below.
-  obs::ThreadBuffer* const tb = tb_;
   std::int64_t t0 = 0;
   bool vm_traced = false;
   if (tb != nullptr) {
@@ -248,14 +246,8 @@ void Executor::fire(int actor) {
 
   switch (a.kind) {
     case FlatActor::Kind::Filter: {
-      ir::InTape* in = &g_null_in;
-      ir::OutTape* out = &g_null_out;
-      if (!a.in_edges.empty() && a.in_edges[0] >= 0) {
-        in = chans_[static_cast<std::size_t>(a.in_edges[0])].get();
-      }
-      if (!a.out_edges.empty() && a.out_edges[0] >= 0) {
-        out = chans_[static_cast<std::size_t>(a.out_edges[0])].get();
-      }
+      ir::InTape& in = in_tape(0);
+      ir::OutTape& out = out_tape(0);
       const runtime::MessageSink* sink =
           opts_.message_sink ? &opts_.message_sink : nullptr;
       if (tbf_[ai]) {
@@ -265,36 +257,28 @@ void Executor::fire(int actor) {
           obs::FiringTrace tr{tb, rec_.get(),
                               a.in_edges.empty() ? -1 : a.in_edges[0],
                               a.out_edges.empty() ? -1 : a.out_edges[0]};
-          tbf_[ai]->run_work(*in, *out, counts, &tr);
+          tbf_[ai]->run_work(in, out, counts, &tr);
           vm_traced = true;
         } else {
-          tbf_[ai]->run_work(*in, *out, counts);
+          tbf_[ai]->run_work(in, out, counts);
         }
       } else if (vmf_[ai]) {
         if (tb != nullptr) {
           obs::FiringTrace tr{tb, rec_.get(),
                               a.in_edges.empty() ? -1 : a.in_edges[0],
                               a.out_edges.empty() ? -1 : a.out_edges[0]};
-          vmf_[ai]->run_work(*in, *out, counts, sink, &tr);
+          vmf_[ai]->run_work(in, out, counts, sink, &tr);
           vm_traced = true;
         } else {
-          vmf_[ai]->run_work(*in, *out, counts, sink);
+          vmf_[ai]->run_work(in, out, counts, sink);
         }
       } else {
-        Interp::run_work(a.node->filter, fstate_[ai], *in, *out, counts, sink);
+        Interp::run_work(a.node->filter, fstate_[ai], in, out, counts, sink);
       }
       break;
     }
     case FlatActor::Kind::Native: {
-      ir::InTape* in = &g_null_in;
-      ir::OutTape* out = &g_null_out;
-      if (!a.in_edges.empty() && a.in_edges[0] >= 0) {
-        in = chans_[static_cast<std::size_t>(a.in_edges[0])].get();
-      }
-      if (!a.out_edges.empty() && a.out_edges[0] >= 0) {
-        out = chans_[static_cast<std::size_t>(a.out_edges[0])].get();
-      }
-      a.node->native.work(nstate_[ai].get(), *in, *out);
+      a.node->native.work(nstate_[ai].get(), in_tape(0), out_tape(0));
       if (counts) {
         // Native filters declare their per-firing cost statically.
         counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
@@ -305,19 +289,20 @@ void Executor::fire(int actor) {
       break;
     }
     case FlatActor::Kind::Splitter: {
-      Channel& in = *chans_[static_cast<std::size_t>(a.in_edges[0])];
+      ir::InTape& in = in_tape(0);
       if (a.sj == ir::SJKind::Duplicate) {
         const double v = in.pop_item();
-        for (int eid : a.out_edges) {
-          if (eid >= 0) chans_[static_cast<std::size_t>(eid)]->push_item(v);
+        for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
+          if (a.out_edges[p] >= 0) out_tape(p).push_item(v);
         }
         if (counts) counts->channel += 1 + static_cast<std::int64_t>(a.out_edges.size());
       } else {
         for (std::size_t p = 0; p < a.out_rate.size(); ++p) {
           for (int k = 0; k < a.out_rate[p]; ++k) {
             const double v = in.pop_item();
-            const int eid = p < a.out_edges.size() ? a.out_edges[p] : -1;
-            if (eid >= 0) chans_[static_cast<std::size_t>(eid)]->push_item(v);
+            if (p < a.out_edges.size() && a.out_edges[p] >= 0) {
+              out_tape(p).push_item(v);
+            }
             if (counts) counts->channel += 2;
           }
         }
@@ -325,12 +310,11 @@ void Executor::fire(int actor) {
       break;
     }
     case FlatActor::Kind::Joiner: {
-      Channel& out = *chans_[static_cast<std::size_t>(a.out_edges[0])];
+      ir::OutTape& out = out_tape(0);
       for (std::size_t p = 0; p < a.in_rate.size(); ++p) {
+        if (p >= a.in_edges.size() || a.in_edges[p] < 0) continue;
         for (int k = 0; k < a.in_rate[p]; ++k) {
-          const int eid = p < a.in_edges.size() ? a.in_edges[p] : -1;
-          if (eid < 0) continue;
-          out.push_item(chans_[static_cast<std::size_t>(eid)]->pop_item());
+          out.push_item(in_tape(p).pop_item());
           if (counts) counts->channel += 2;
         }
       }
@@ -338,7 +322,6 @@ void Executor::fire(int actor) {
     }
   }
   ++fired_[ai];
-  for (const auto& ch : chans_) ch->note_high_water();
 
   if (tb != nullptr) {
     const std::int64_t t1 = rec_->now_ns();
@@ -404,13 +387,23 @@ void Executor::run_init() {
   init_done_ = true;
 }
 
+void Executor::mark_steady() {
+  if (tb_ == nullptr || steady_marked_) return;
+  tb_->emit(rec_->now_ns(), obs::EventKind::Phase,
+            static_cast<std::int32_t>(obs::PhaseId::Steady));
+  steady_marked_ = true;
+}
+
+void Executor::steady_epoch() {
+  ++steady_run_;
+  ensure_input_for(sched_.input_for_init +
+                   steady_run_ * sched_.input_per_steady);
+  run_epoch(sched_.reps);
+}
+
 std::vector<double> Executor::run_steady(int n) {
   run_init();
-  if (tb_ != nullptr && !steady_marked_ && n > 0) {
-    tb_->emit(rec_->now_ns(), obs::EventKind::Phase,
-              static_cast<std::int32_t>(obs::PhaseId::Steady));
-    steady_marked_ = true;
-  }
+  if (n > 0) mark_steady();
   // Fused fast path: one flat dual-plane trace per steady state.  activate()
   // lowers the internal channels to trace buffers for the whole batch of
   // iterations; it refuses when manual fire() calls left the graph
@@ -431,12 +424,7 @@ std::vector<double> Executor::run_steady(int n) {
     }
     return take_output();
   }
-  for (int i = 0; i < n; ++i) {
-    ++steady_run_;
-    ensure_input_for(sched_.input_for_init +
-                     steady_run_ * sched_.input_per_steady);
-    run_epoch(sched_.reps);
-  }
+  for (int i = 0; i < n; ++i) steady_epoch();
   return take_output();
 }
 

@@ -214,8 +214,20 @@ class Executor {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
+  // The threaded runtime (sched/texec.h) owns one Executor and fires its
+  // actors from worker threads; it reaches the seam below directly.
+  friend class ThreadedExecutor;
+
+  // One firing, tallied into `counts` and traced into `tb` (either may be
+  // null), without high-water bookkeeping: the public fire() adds that for
+  // every channel, while threaded workers note only their own channels.
+  void fire(int actor, runtime::OpCounts* counts, obs::ThreadBuffer* tb);
   void ensure_input_for(std::int64_t items_needed);
   void run_epoch(const std::vector<std::int64_t>& quota);
+  // One data-driven steady state (input staged first).
+  void steady_epoch();
+  // Emit the Steady phase marker once, before the first steady state.
+  void mark_steady();
 
   ir::NodeP root_;
   ExecOptions opts_;
@@ -223,6 +235,10 @@ class Executor {
   Schedule sched_;
   Engine engine_{Engine::Vm};
   std::vector<std::unique_ptr<runtime::Channel>> chans_;
+  // The tapes firings read and write, per edge: the Channels, except where
+  // the threaded runtime repoints a cross-worker edge at its SPSC ring.
+  std::vector<ir::InTape*> in_tapes_;
+  std::vector<ir::OutTape*> out_tapes_;
   std::vector<runtime::FilterState> fstate_;
   // Per-actor compiled work functions bound to fstate_ storage; null where
   // the actor is not an AST filter or its work fell back to the tree
@@ -243,6 +259,9 @@ class Executor {
   std::unique_ptr<runtime::TypedFusedExec> tfexec_;
   std::string typed_fused_refusal_;
   std::vector<runtime::OpCounts> ops_;
+  // Tally for fire() when count_ops is off: null, except under the threaded
+  // runtime, whose partitioner costs actors from the sequential epochs.
+  std::vector<runtime::OpCounts>* calib_ops_{nullptr};
   std::vector<std::int64_t> fired_;
   std::function<double(std::int64_t)> input_gen_;
   std::int64_t input_fed_{0};

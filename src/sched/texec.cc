@@ -8,18 +8,14 @@
 #include <stdexcept>
 #include <thread>
 
-#include "analysis/analyze.h"
-#include "analysis/typeflow.h"
 #include "machine/machine.h"
 #include "obs/costmodel.h"
 #include "obs/trace.h"
-#include "runtime/compile.h"
 
 namespace sit::sched {
 
 using runtime::Channel;
 using runtime::FlatActor;
-using runtime::Interp;
 using runtime::OpCounts;
 using runtime::SpscRing;
 
@@ -44,27 +40,6 @@ constexpr bool kDebugBuild = true;
 #else
 constexpr bool kDebugBuild = false;
 #endif
-
-// Tape stubs for boundary filters (pure sources/sinks have no edge).
-class NullIn final : public ir::InTape {
- public:
-  double peek_item(int) override {
-    throw std::runtime_error("source filter attempted to peek");
-  }
-  double pop_item() override {
-    throw std::runtime_error("source filter attempted to pop");
-  }
-};
-
-class NullOut final : public ir::OutTape {
- public:
-  void push_item(double) override {
-    throw std::runtime_error("sink filter attempted to push");
-  }
-};
-
-NullIn g_null_in;
-NullOut g_null_out;
 
 // Thrown inside a worker when another worker already failed; swallowed after
 // the join (only the first error is reported).
@@ -141,6 +116,42 @@ std::int64_t rate_into(const FlatActor& a, int edge) {
   return 0;
 }
 
+// Why `g` cannot run threaded (None when it can); `bounds` are its static
+// channel bounds.
+FallbackReason refusal_reason(const runtime::FlatGraph& g,
+                              const analysis::ChannelBounds& bounds,
+                              std::string* detail) {
+  for (const auto& a : g.actors) {
+    if (a.kind != FlatActor::Kind::Filter) continue;
+    const ir::FilterSpec& spec = a.node->filter;
+    if (!spec.handlers.empty()) {
+      *detail = "filter '" + spec.name + "' has teleport handlers";
+      return FallbackReason::TeleportHandlers;
+    }
+    if (stmt_sends(spec.work) || stmt_sends(spec.init)) {
+      *detail = "filter '" + spec.name + "' sends teleport messages";
+      return FallbackReason::TeleportSends;
+    }
+  }
+  if (g.actors.size() < 2) {
+    *detail = "graph has fewer than two actors";
+    return FallbackReason::TooFewActors;
+  }
+
+  // Single-appearance schedulability: delegated to the static channel-bound
+  // analysis, which simulates one steady state in the global topological
+  // order with each actor firing its full repetition count at once, starting
+  // from the post-init channel populations.  If any actor comes up short,
+  // the graph needs interleaved firings (e.g. a tight feedback loop) and
+  // stays sequential.
+  if (!bounds.single_appearance) {
+    *detail = "actor '" + bounds.blocker +
+              "' needs interleaved firings in the steady state";
+    return FallbackReason::InterleavedFirings;
+  }
+  return FallbackReason::None;
+}
+
 }  // namespace
 
 const char* to_string(FallbackReason r) {
@@ -173,415 +184,73 @@ std::string ThreadedReport::to_string() const {
 ThreadedExecutor::ThreadedExecutor(ir::NodeP root, ExecOptions opts)
     : ThreadedExecutor(lower(std::move(root)), std::move(opts)) {}
 
-ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
-    : root_(prog.graph),
-      opts_(std::move(opts)),
-      prog_engine_(prog.engine),
-      pipeline_(prog.pipeline),
-      passes_(prog.passes) {
+ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts) {
   const int requested =
-      resolve_threads(opts_.threads != 0 ? opts_.threads : prog.threads);
+      resolve_threads(opts.threads != 0 ? opts.threads : prog.threads);
   FallbackReason fb = FallbackReason::None;
   std::string detail;
   if (requested <= 1) {
     fb = FallbackReason::OneThread;
     detail = "one thread requested";
-  } else if (opts_.message_sink) {
+  } else if (opts.message_sink) {
     fb = FallbackReason::MessageSink;
     detail = "teleport message sink attached";
   } else {
     // The artifact is already analyzed/flattened/scheduled; compute the
     // static channel bounds and run the threaded-eligibility checks.
-    g_ = prog.flat;
-    sched_ = prog.schedule;
-    bounds_ = analysis::channel_bounds(g_, sched_);
-    fb = refusal_reason(&detail);
+    bounds_ = analysis::channel_bounds(prog.flat, prog.schedule);
+    fb = refusal_reason(prog.flat, bounds_, &detail);
   }
-  if (fb != FallbackReason::None) {
-    report_.threaded = false;
-    report_.threads = 1;
-    report_.fallback = fb;
-    report_.fallback_reason = detail;
-    seq_ = std::make_unique<Executor>(std::move(prog), opts_);
-    return;
+  report_.fallback = fb;
+  report_.fallback_reason = detail;
+  // The workers fire per actor: a fused trace would only cost set-up time
+  // and memory, so Engine::Fused runs on the VM here.
+  if (fb == FallbackReason::None &&
+      resolve_engine(opts.engine != Engine::Auto ? opts.engine
+                                                 : prog.engine) ==
+          Engine::Fused) {
+    opts.engine = Engine::Vm;
   }
-  threads_ = std::min<int>(requested, static_cast<int>(g_.actors.size()));
+  exec_ = std::make_unique<Executor>(std::move(prog), std::move(opts));
+  rings_.resize(graph().edges.size());
+  if (fb != FallbackReason::None) return;
+
+  threads_ = std::min<int>(requested, static_cast<int>(graph().actors.size()));
   report_.threaded = true;
   report_.threads = threads_;
-  stall_ms_ = resolve_stall_ms(opts_.stall_ms);
-  spin_yield_ = std::max(1, opts_.spin_before_yield);
-  build_storage();
-  if (resolve_trace(opts_.trace)) {
-    rec_ = std::make_unique<obs::Recorder>();
-    rec_->attach_actors(g_.actors.size());
-    rec_->attach_workers(static_cast<std::size_t>(threads_));
-    tb0_ = rec_->thread_buffer(0);
+  stall_ms_ = resolve_stall_ms(exec_->opts_.stall_ms);
+  spin_yield_ = std::max(1, exec_->opts_.spin_before_yield);
+  calib_.resize(graph().actors.size());
+  exec_->calib_ops_ = &calib_;
+  if (exec_->rec_) {
+    exec_->rec_->attach_workers(static_cast<std::size_t>(threads_));
   }
 }
 
 ThreadedExecutor::~ThreadedExecutor() = default;
 
-FallbackReason ThreadedExecutor::refusal_reason(std::string* detail) const {
-  for (const auto& a : g_.actors) {
-    if (a.kind != FlatActor::Kind::Filter) continue;
-    const ir::FilterSpec& spec = a.node->filter;
-    if (!spec.handlers.empty()) {
-      *detail = "filter '" + spec.name + "' has teleport handlers";
-      return FallbackReason::TeleportHandlers;
-    }
-    if (stmt_sends(spec.work) || stmt_sends(spec.init)) {
-      *detail = "filter '" + spec.name + "' sends teleport messages";
-      return FallbackReason::TeleportSends;
-    }
-  }
-  if (g_.actors.size() < 2) {
-    *detail = "graph has fewer than two actors";
-    return FallbackReason::TooFewActors;
-  }
-
-  // Single-appearance schedulability: delegated to the static channel-bound
-  // analysis, which simulates one steady state in the global topological
-  // order with each actor firing its full repetition count at once, starting
-  // from the post-init channel populations.  If any actor comes up short,
-  // the graph needs interleaved firings (e.g. a tight feedback loop) and
-  // stays sequential.
-  if (!bounds_.single_appearance) {
-    *detail = "actor '" + bounds_.blocker +
-              "' needs interleaved firings in the steady state";
-    return FallbackReason::InterleavedFirings;
-  }
-  return FallbackReason::None;
-}
-
-void ThreadedExecutor::build_storage() {
-  chans_.reserve(g_.edges.size());
-  for (const auto& e : g_.edges) {
-    auto ch = std::make_unique<Channel>();
-    ch->push_many(e.initial_items);
-    chans_.push_back(std::move(ch));
-  }
-  rings_.resize(g_.edges.size());
-
-  engine_ = resolve_engine(opts_.engine != Engine::Auto ? opts_.engine
-                                                        : prog_engine_);
-  typed_on_ = resolve_typed(opts_.typed);
-  const std::size_t n = g_.actors.size();
-  fstate_.resize(n);
-  nstate_.resize(n);
-  vmf_.resize(n);
-  tbf_.resize(n);
-  typed_refusal_.resize(n);
-  ops_.resize(n);
-  calib_.resize(n);
-  fired_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const FlatActor& a = g_.actors[i];
-    if (a.kind == FlatActor::Kind::Filter) {
-      const ir::FilterSpec& spec = a.node->filter;
-      // The worker loop fires per-actor; Engine::Fused degrades to the VM
-      // bindings here (the fused trace is inherently single-threaded -- the
-      // threads <= 1 path delegates to a plain Executor, which does fuse).
-      if (engine_ == Engine::Vm || engine_ == Engine::Fused) {
-        if (auto prog = runtime::compile_filter(spec)) {
-          fstate_[i] = Interp::declare_state(spec);
-          vmf_[i] = std::make_unique<runtime::VmBound>(prog, fstate_[i]);
-          if (prog->has_init) {
-            vmf_[i]->run_init();
-          } else {
-            Interp::run_init(spec, fstate_[i]);
-          }
-          if (typed_on_) {
-            if (auto tp = runtime::typed_compile(spec, prog, fstate_[i],
-                                                 &typed_refusal_[i])) {
-              tbf_[i] = std::make_unique<runtime::TypedBound>(std::move(tp),
-                                                              fstate_[i]);
-              typed_refusal_[i].clear();
-            }
-          }
-          continue;
-        }
-      }
-      fstate_[i] = Interp::init_state(spec);
-    } else if (a.kind == FlatActor::Kind::Native) {
-      if (a.node->native.make_state) nstate_[i] = a.node->native.make_state();
-    }
-  }
-}
-
-// ---- delegating accessors ---------------------------------------------------
-
-const runtime::FlatGraph& ThreadedExecutor::graph() const {
-  return seq_ ? seq_->graph() : g_;
-}
-const Schedule& ThreadedExecutor::schedule() const {
-  return seq_ ? seq_->schedule() : sched_;
-}
-Engine ThreadedExecutor::engine() const {
-  return seq_ ? seq_->engine() : engine_;
-}
-const std::vector<std::int64_t>& ThreadedExecutor::firings() const {
-  return seq_ ? seq_->firings() : fired_;
-}
-const std::vector<OpCounts>& ThreadedExecutor::actor_ops() const {
-  return seq_ ? seq_->actor_ops() : ops_;
-}
-OpCounts ThreadedExecutor::total_ops() const {
-  if (seq_) return seq_->total_ops();
-  OpCounts t;
-  for (const auto& o : ops_) t += o;
-  return t;
-}
-runtime::FilterState& ThreadedExecutor::filter_state(int actor) {
-  return seq_ ? seq_->filter_state(actor)
-              : fstate_[static_cast<std::size_t>(actor)];
-}
 std::int64_t ThreadedExecutor::edge_pushed(int edge) const {
-  if (seq_) return seq_->channel(edge).total_pushed();
   const auto e = static_cast<std::size_t>(edge);
-  return rings_[e] ? rings_[e]->total_pushed() : chans_[e]->total_pushed();
+  return rings_[e] ? rings_[e]->total_pushed()
+                   : exec_->chans_[e]->total_pushed();
 }
 std::int64_t ThreadedExecutor::edge_popped(int edge) const {
-  if (seq_) return seq_->channel(edge).total_popped();
   const auto e = static_cast<std::size_t>(edge);
-  return rings_[e] ? rings_[e]->total_popped() : chans_[e]->total_popped();
+  return rings_[e] ? rings_[e]->total_popped()
+                   : exec_->chans_[e]->total_popped();
 }
 
-// ---- external input ---------------------------------------------------------
-
-void ThreadedExecutor::feed_input(const std::vector<double>& items) {
-  if (seq_) {
-    seq_->feed_input(items);
-    return;
-  }
-  if (g_.input_edge < 0) {
-    throw std::runtime_error("program has no external input");
-  }
-  chans_[static_cast<std::size_t>(g_.input_edge)]->push_many(items);
-  input_fed_ += static_cast<std::int64_t>(items.size());
-}
-
-void ThreadedExecutor::set_input_generator(
-    std::function<double(std::int64_t)> gen) {
-  if (seq_) {
-    seq_->set_input_generator(std::move(gen));
-    return;
-  }
-  input_gen_ = std::move(gen);
-}
-
-void ThreadedExecutor::ensure_input_for(std::int64_t items_needed) {
-  if (g_.input_edge < 0 || !input_gen_) return;
-  auto& ch = *chans_[static_cast<std::size_t>(g_.input_edge)];
-  while (input_fed_ < items_needed) {
-    ch.push_item(input_gen_(input_fed_));
-    ++input_fed_;
-  }
-}
-
-// ---- sequential epochs (init + calibration) ---------------------------------
-
-ir::InTape* ThreadedExecutor::in_tape(int edge) {
-  if (edge < 0) return &g_null_in;
-  const auto e = static_cast<std::size_t>(edge);
-  if (rings_[e]) return rings_[e].get();
-  return chans_[e].get();
-}
-
-ir::OutTape* ThreadedExecutor::out_tape(int edge) {
-  if (edge < 0) return &g_null_out;
-  const auto e = static_cast<std::size_t>(edge);
-  if (rings_[e]) return rings_[e].get();
-  return chans_[e].get();
-}
-
-bool ThreadedExecutor::can_fire(int actor) const {
-  const FlatActor& a = g_.actors[static_cast<std::size_t>(actor)];
-  for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
-    const int eid = a.in_edges[p];
-    if (eid < 0) continue;
-    std::int64_t want = a.in_rate[p];
-    if (a.is_filter()) want += a.peek_extra;
-    if (static_cast<std::int64_t>(chans_[static_cast<std::size_t>(eid)]->size()) <
-        want) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void ThreadedExecutor::fire_actor(int actor, OpCounts* counts,
-                                  obs::ThreadBuffer* tb) {
-  const auto ai = static_cast<std::size_t>(actor);
-  const FlatActor& a = g_.actors[ai];
-
-  // Same tracing discipline as Executor::fire: one null test when disabled;
-  // VM-backed filters report measured channel batches from the dispatch
-  // loop, everything else reports the static SDF rates below.
-  std::int64_t t0 = 0;
-  bool vm_traced = false;
-  if (tb != nullptr) {
-    t0 = rec_->now_ns();
-    tb->emit(t0, obs::EventKind::FireBegin, actor);
-  }
-
-  switch (a.kind) {
-    case FlatActor::Kind::Filter: {
-      ir::InTape* in =
-          in_tape(a.in_edges.empty() ? -1 : a.in_edges[0]);
-      ir::OutTape* out =
-          out_tape(a.out_edges.empty() ? -1 : a.out_edges[0]);
-      if (tbf_[ai]) {
-        if (tb != nullptr) {
-          obs::FiringTrace tr{tb, rec_.get(),
-                              a.in_edges.empty() ? -1 : a.in_edges[0],
-                              a.out_edges.empty() ? -1 : a.out_edges[0]};
-          tbf_[ai]->run_work(*in, *out, counts, &tr);
-          vm_traced = true;
-        } else {
-          tbf_[ai]->run_work(*in, *out, counts);
-        }
-      } else if (vmf_[ai]) {
-        if (tb != nullptr) {
-          obs::FiringTrace tr{tb, rec_.get(),
-                              a.in_edges.empty() ? -1 : a.in_edges[0],
-                              a.out_edges.empty() ? -1 : a.out_edges[0]};
-          vmf_[ai]->run_work(*in, *out, counts, nullptr, &tr);
-          vm_traced = true;
-        } else {
-          vmf_[ai]->run_work(*in, *out, counts, nullptr);
-        }
-      } else {
-        Interp::run_work(a.node->filter, fstate_[ai], *in, *out, counts,
-                         nullptr);
-      }
-      break;
-    }
-    case FlatActor::Kind::Native: {
-      ir::InTape* in =
-          in_tape(a.in_edges.empty() ? -1 : a.in_edges[0]);
-      ir::OutTape* out =
-          out_tape(a.out_edges.empty() ? -1 : a.out_edges[0]);
-      a.node->native.work(nstate_[ai].get(), *in, *out);
-      if (counts) {
-        counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
-        counts->int_ops += static_cast<std::int64_t>(
-            a.node->native.cost_ops - a.node->native.cost_flops);
-        counts->channel += a.pop_rate() + a.push_rate();
-      }
-      break;
-    }
-    case FlatActor::Kind::Splitter: {
-      ir::InTape& in = *in_tape(a.in_edges[0]);
-      if (a.sj == ir::SJKind::Duplicate) {
-        const double v = in.pop_item();
-        for (int eid : a.out_edges) {
-          if (eid >= 0) out_tape(eid)->push_item(v);
-        }
-        if (counts) {
-          counts->channel += 1 + static_cast<std::int64_t>(a.out_edges.size());
-        }
-      } else {
-        for (std::size_t p = 0; p < a.out_rate.size(); ++p) {
-          for (int k = 0; k < a.out_rate[p]; ++k) {
-            const double v = in.pop_item();
-            const int eid = p < a.out_edges.size() ? a.out_edges[p] : -1;
-            if (eid >= 0) out_tape(eid)->push_item(v);
-            if (counts) counts->channel += 2;
-          }
-        }
-      }
-      break;
-    }
-    case FlatActor::Kind::Joiner: {
-      ir::OutTape& out = *out_tape(a.out_edges[0]);
-      for (std::size_t p = 0; p < a.in_rate.size(); ++p) {
-        for (int k = 0; k < a.in_rate[p]; ++k) {
-          const int eid = p < a.in_edges.size() ? a.in_edges[p] : -1;
-          if (eid < 0) continue;
-          out.push_item(in_tape(eid)->pop_item());
-          if (counts) counts->channel += 2;
-        }
-      }
-      break;
-    }
-  }
-  ++fired_[ai];
-  // High-water bookkeeping on the fired actor's plain channels (rings track
-  // their own; an actor's plain channels are owned by its worker).
-  for (int eid : a.in_edges) {
-    if (eid >= 0 && !rings_[static_cast<std::size_t>(eid)]) {
-      chans_[static_cast<std::size_t>(eid)]->note_high_water();
-    }
-  }
-  for (int eid : a.out_edges) {
-    if (eid >= 0 && !rings_[static_cast<std::size_t>(eid)]) {
-      chans_[static_cast<std::size_t>(eid)]->note_high_water();
-    }
-  }
-
-  if (tb != nullptr) {
-    const std::int64_t t1 = rec_->now_ns();
-    if (!vm_traced) {
-      for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
-        if (a.in_edges[p] >= 0 && a.in_rate[p] > 0) {
-          tb->emit(t1, obs::EventKind::PopBatch, a.in_edges[p], a.in_rate[p]);
-        }
-      }
-      for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
-        if (a.out_edges[p] >= 0 && a.out_rate[p] > 0) {
-          tb->emit(t1, obs::EventKind::PushBatch, a.out_edges[p],
-                   a.out_rate[p]);
-        }
-      }
-    }
-    tb->emit(t1, obs::EventKind::FireEnd, actor);
-    rec_->actor_stats(actor).record(t1 - t0);
-  }
-}
-
-void ThreadedExecutor::run_epoch(const std::vector<std::int64_t>& quota_in) {
-  std::vector<std::int64_t> quota = quota_in;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int actor : sched_.order) {
-      const auto ai = static_cast<std::size_t>(actor);
-      OpCounts* counts = opts_.count_ops ? &ops_[ai] : &calib_[ai];
-      while (quota[ai] > 0 && can_fire(actor)) {
-        fire_actor(actor, counts, tb0_);
-        --quota[ai];
-        progress = true;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < quota.size(); ++i) {
-    if (quota[i] > 0) {
-      throw std::runtime_error("runtime deadlock: actor '" + g_.actors[i].name +
-                               "' starved with " + std::to_string(quota[i]) +
-                               " firings remaining");
-    }
-  }
-}
-
-void ThreadedExecutor::run_init() {
-  if (seq_) {
-    seq_->run_init();
-    return;
-  }
-  if (init_done_) return;
-  if (tb0_ != nullptr) {
-    tb0_->emit(rec_->now_ns(), obs::EventKind::Phase,
-               static_cast<std::int32_t>(obs::PhaseId::Init));
-  }
-  ensure_input_for(sched_.input_for_init);
-  run_epoch(sched_.init_fires);
-  init_done_ = true;
+const std::vector<OpCounts>& ThreadedExecutor::calibration() const {
+  return exec_->opts_.count_ops ? exec_->ops_ : calib_;
 }
 
 // ---- partitioning -----------------------------------------------------------
 
 void ThreadedExecutor::partition_and_migrate() {
-  const std::size_t n = g_.actors.size();
+  const runtime::FlatGraph& g = graph();
+  const Schedule& sched = schedule();
+  const std::vector<OpCounts>& calib = calibration();
+  const std::size_t n = g.actors.size();
   std::vector<double> cost(n, 0.0);
   // Per-epoch actor cost for LPT: a calibrated model's measured weight
   // (cycles per firing, scaled by this epoch's firing count) takes
@@ -592,10 +261,10 @@ void ThreadedExecutor::partition_and_migrate() {
   for (std::size_t i = 0; i < n; ++i) {
     double measured = 0.0;
     if (cmodel.calibrated() &&
-        cmodel.measured_cycles_per_fire(g_.actors[i].name, &measured)) {
-      cost[i] = measured * static_cast<double>(sched_.reps[i]);
+        cmodel.measured_cycles_per_fire(g.actors[i].name, &measured)) {
+      cost[i] = measured * static_cast<double>(sched.reps[i]);
     } else {
-      cost[i] = (opts_.count_ops ? ops_[i] : calib_[i]).weighted();
+      cost[i] = calib[i].weighted();
     }
   }
 
@@ -625,7 +294,7 @@ void ThreadedExecutor::partition_and_migrate() {
       if (cost[i] > feather) continue;
       int best = -1;
       double best_cost = -1.0;
-      for (const auto& e : g_.edges) {
+      for (const auto& e : g.edges) {
         int nb = -1;
         if (e.src == static_cast<int>(i)) nb = e.dst;
         if (e.dst == static_cast<int>(i)) nb = e.src;
@@ -642,7 +311,7 @@ void ThreadedExecutor::partition_and_migrate() {
   // freeze each worker's firing plan in global topological order.
   std::vector<int> remap(static_cast<std::size_t>(threads_), -1);
   int used = 0;
-  for (int actor : sched_.order) {
+  for (int actor : sched.order) {
     int& slot = remap[static_cast<std::size_t>(owner_[static_cast<std::size_t>(actor)])];
     if (slot < 0) slot = used++;
   }
@@ -651,13 +320,13 @@ void ThreadedExecutor::partition_and_migrate() {
   for (std::size_t i = 0; i < n; ++i) {
     owner_[i] = remap[static_cast<std::size_t>(owner_[i])];
   }
-  for (int actor : sched_.order) {
+  for (int actor : sched.order) {
     plan_[static_cast<std::size_t>(owner_[static_cast<std::size_t>(actor)])]
         .push_back(actor);
   }
-  input_owner_ = g_.input_edge >= 0
+  input_owner_ = g.input_edge >= 0
                      ? owner_[static_cast<std::size_t>(
-                           g_.edges[static_cast<std::size_t>(g_.input_edge)].dst)]
+                           g.edges[static_cast<std::size_t>(g.input_edge)].dst)]
                      : -1;
 
   // Freeze the batch factor for this placement (explicit request or auto
@@ -670,16 +339,18 @@ void ThreadedExecutor::partition_and_migrate() {
   // producer of step s may run while the slowest consumer has completed
   // only step s - 1 - kWindow, so at most window + 1 steps of production
   // sit live on top of the steady level.  The sized ring never rejects a
-  // push (check_bounds re-verifies this against observed high water).
+  // push (check_bounds re-verifies this against observed high water).  The
+  // Executor's tapes for the edge are repointed at the ring; its drained
+  // Channel stays behind, unused.
   int ring_edges = 0;
-  for (std::size_t e = 0; e < g_.edges.size(); ++e) {
-    const auto& ed = g_.edges[e];
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    const auto& ed = g.edges[e];
     if (ed.src < 0 || ed.dst < 0) continue;
     if (owner_[static_cast<std::size_t>(ed.src)] ==
         owner_[static_cast<std::size_t>(ed.dst)]) {
       continue;
     }
-    Channel& ch = *chans_[e];
+    Channel& ch = *exec_->chans_[e];
     const std::int64_t pushed = ch.total_pushed();
     const std::int64_t popped = ch.total_popped();
     std::vector<double> live;
@@ -689,8 +360,9 @@ void ThreadedExecutor::partition_and_migrate() {
         static_cast<std::size_t>(bounds_.pipelined(e, kWindow, batch_));
     auto ring = std::make_unique<SpscRing>(cap, /*deferred=*/true);
     ring->preload(live, pushed, popped);
+    exec_->in_tapes_[e] = ring.get();
+    exec_->out_tapes_[e] = ring.get();
     rings_[e] = std::move(ring);
-    chans_[e].reset();
     ++ring_edges;
   }
 
@@ -715,19 +387,19 @@ void ThreadedExecutor::partition_and_migrate() {
   pa.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     machine::PlacedActor p;
-    p.name = g_.actors[i].name;
+    p.name = g.actors[i].name;
     p.core = owner_[i];
     p.compute_cycles = cost[i];
-    p.flops = static_cast<double>((opts_.count_ops ? ops_[i] : calib_[i]).flops);
+    p.flops = static_cast<double>(calib[i].flops);
     pa.push_back(std::move(p));
   }
   std::vector<machine::PlacedEdge> pe;
-  for (std::size_t e = 0; e < g_.edges.size(); ++e) {
-    const auto& ed = g_.edges[e];
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    const auto& ed = g.edges[e];
     machine::PlacedEdge p;
     p.src_actor = ed.src;
     p.dst_actor = ed.dst;
-    p.items = static_cast<double>(sched_.edge_traffic[e]);
+    p.items = static_cast<double>(sched.edge_traffic[e]);
     p.back_edge = ed.back_edge;
     pe.push_back(p);
   }
@@ -750,7 +422,9 @@ void ThreadedExecutor::partition_and_migrate() {
 
 int ThreadedExecutor::resolve_partition_batch(
     const std::vector<double>& cost) const {
-  std::int64_t b = resolve_batch(opts_.batch);
+  const runtime::FlatGraph& g = graph();
+  const Schedule& sched = schedule();
+  std::int64_t b = resolve_batch(exec_->opts_.batch);
   if (b < 0) {
     // Auto: amortize each ring publish and each window advance.  Both
     // targets look at this placement's cross-worker edges; a placement with
@@ -758,14 +432,14 @@ int ThreadedExecutor::resolve_partition_batch(
     // can glue everything contiguous) needs no batching.
     std::int64_t min_traffic = 0;
     std::int64_t sum_traffic = 0;
-    for (std::size_t e = 0; e < g_.edges.size(); ++e) {
-      const auto& ed = g_.edges[e];
+    for (std::size_t e = 0; e < g.edges.size(); ++e) {
+      const auto& ed = g.edges[e];
       if (ed.src < 0 || ed.dst < 0) continue;
       if (owner_[static_cast<std::size_t>(ed.src)] ==
           owner_[static_cast<std::size_t>(ed.dst)]) {
         continue;
       }
-      const std::int64_t t = std::max<std::int64_t>(1, sched_.edge_traffic[e]);
+      const std::int64_t t = std::max<std::int64_t>(1, sched.edge_traffic[e]);
       min_traffic = min_traffic == 0 ? t : std::min(min_traffic, t);
       sum_traffic += t;
     }
@@ -808,16 +482,18 @@ void ThreadedExecutor::wait_ready(int actor, std::int64_t chunk,
                                   obs::ThreadBuffer* tb,
                                   std::int64_t* wait_ns) {
   const auto ai = static_cast<std::size_t>(actor);
-  const FlatActor& a = g_.actors[ai];
+  const FlatActor& a = graph().actors[ai];
+  const Schedule& sched = schedule();
+  obs::Recorder* const rec = exec_->rec_.get();
   for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
     const int eid = a.in_edges[p];
     if (eid < 0 || !rings_[static_cast<std::size_t>(eid)]) continue;
     SpscRing& r = *rings_[static_cast<std::size_t>(eid)];
-    std::int64_t need = sched_.reps[ai] * chunk * a.in_rate[p];
+    std::int64_t need = sched.reps[ai] * chunk * a.in_rate[p];
     if (a.is_filter()) need += a.peek_extra;
     const auto un = static_cast<std::size_t>(need);
     traced_spin(abort_, [&] { return r.can_pop(un); }, "waiting for input data",
-                spin_yield_, stall_ms_, tb, rec_.get(), wait_ns, actor,
+                spin_yield_, stall_ms_, tb, rec, wait_ns, actor,
                 obs::WaitKind::Input);
   }
   for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
@@ -825,26 +501,28 @@ void ThreadedExecutor::wait_ready(int actor, std::int64_t chunk,
     if (eid < 0 || !rings_[static_cast<std::size_t>(eid)]) continue;
     SpscRing& r = *rings_[static_cast<std::size_t>(eid)];
     const auto room =
-        static_cast<std::size_t>(sched_.reps[ai] * chunk * a.out_rate[p]);
+        static_cast<std::size_t>(sched.reps[ai] * chunk * a.out_rate[p]);
     traced_spin(abort_, [&] { return r.can_push(room); },
                 "waiting for output space", spin_yield_, stall_ms_, tb,
-                rec_.get(), wait_ns, actor, obs::WaitKind::Space);
+                rec, wait_ns, actor, obs::WaitKind::Space);
   }
 }
 
 void ThreadedExecutor::stage_input(std::int64_t last_iter, std::int64_t chunk) {
+  const runtime::FlatGraph& g = graph();
+  const Schedule& sched = schedule();
   const std::int64_t need_total =
-      sched_.input_for_init + last_iter * sched_.input_per_steady;
-  ensure_input_for(need_total);
+      sched.input_for_init + last_iter * sched.input_per_steady;
+  exec_->ensure_input_for(need_total);
   // Whether fed explicitly or generated, this whole step's quota must be
   // present now -- the consumer pops from a plain Channel nobody refills
   // mid-step.
-  const auto ie = static_cast<std::size_t>(g_.input_edge);
-  const FlatActor& d = g_.actors[static_cast<std::size_t>(g_.edges[ie].dst)];
-  std::int64_t need = sched_.reps[static_cast<std::size_t>(g_.edges[ie].dst)] *
-                      chunk * rate_into(d, g_.input_edge);
+  const auto ie = static_cast<std::size_t>(g.input_edge);
+  const FlatActor& d = g.actors[static_cast<std::size_t>(g.edges[ie].dst)];
+  std::int64_t need = sched.reps[static_cast<std::size_t>(g.edges[ie].dst)] *
+                      chunk * rate_into(d, g.input_edge);
   if (d.is_filter()) need += d.peek_extra;
-  if (static_cast<std::int64_t>(chans_[ie]->size()) < need) {
+  if (static_cast<std::int64_t>(exec_->chans_[ie]->size()) < need) {
     throw std::runtime_error(
         "runtime deadlock: external input starved (feed_input more items or "
         "set an input generator)");
@@ -853,16 +531,20 @@ void ThreadedExecutor::stage_input(std::int64_t last_iter, std::int64_t chunk) {
 
 void ThreadedExecutor::worker(int w, std::int64_t first,
                               std::int64_t last) noexcept {
+  Executor& ex = *exec_;
+  const runtime::FlatGraph& g = ex.g_;
+  const Schedule& sched = ex.sched_;
+  obs::Recorder* const rec = ex.rec_.get();
   // Each worker owns one thread buffer and one WorkerStats slot (worker 0
-  // runs on the main thread and shares tb0_ with the sequential epochs,
-  // which never run concurrently with workers).
+  // runs on the main thread and shares the Executor's buffer with the
+  // sequential epochs, which never run concurrently with workers).
   obs::ThreadBuffer* tb = nullptr;
   std::int64_t t_start = 0;
   std::int64_t wait_ns = 0;
   std::int64_t iters_done = 0;
-  if (rec_) {
-    tb = w == 0 ? tb0_ : rec_->thread_buffer(w);
-    t_start = rec_->now_ns();
+  if (rec != nullptr) {
+    tb = w == 0 ? ex.tb_ : rec->thread_buffer(w);
+    t_start = rec->now_ns();
   }
   try {
     // Walk the run's iterations in steps of `batch_` (the final step may be
@@ -877,16 +559,28 @@ void ThreadedExecutor::worker(int w, std::int64_t first,
       // worker, which bounds every ring's occupancy.
       traced_spin(abort_,
                   [&] { return min_completed() >= step - 1 - kWindow; },
-                  "iteration window", spin_yield_, stall_ms_, tb, rec_.get(),
+                  "iteration window", spin_yield_, stall_ms_, tb, rec,
                   &wait_ns, -1, obs::WaitKind::Window);
       if (w == input_owner_) stage_input(hi, chunk);
       for (int actor : plan_[static_cast<std::size_t>(w)]) {
         wait_ready(actor, chunk, tb, &wait_ns);
         const auto ai = static_cast<std::size_t>(actor);
-        const FlatActor& a = g_.actors[ai];
-        OpCounts* counts = opts_.count_ops ? &ops_[ai] : nullptr;
-        for (std::int64_t k = 0; k < sched_.reps[ai] * chunk; ++k) {
-          fire_actor(actor, counts, tb);
+        const FlatActor& a = g.actors[ai];
+        OpCounts* counts = ex.opts_.count_ops ? &ex.ops_[ai] : nullptr;
+        for (std::int64_t k = 0; k < sched.reps[ai] * chunk; ++k) {
+          ex.fire(actor, counts, tb);
+          // High water on the actor's plain channels only: this worker owns
+          // them, and rings track their own.
+          for (const int eid : a.in_edges) {
+            if (eid >= 0 && !rings_[static_cast<std::size_t>(eid)]) {
+              ex.chans_[static_cast<std::size_t>(eid)]->note_high_water();
+            }
+          }
+          for (const int eid : a.out_edges) {
+            if (eid >= 0 && !rings_[static_cast<std::size_t>(eid)]) {
+              ex.chans_[static_cast<std::size_t>(eid)]->note_high_water();
+            }
+          }
         }
         // Bulk publication: one release store per ring per step makes the
         // whole batch of firings visible / returns the whole batch of slots.
@@ -914,17 +608,17 @@ void ThreadedExecutor::worker(int w, std::int64_t first,
     }
     abort_.store(true, std::memory_order_release);
   }
-  if (rec_) {
-    obs::WorkerStats& ws = rec_->worker_stats(w);
-    ws.wall_ns += rec_->now_ns() - t_start;
+  if (rec != nullptr) {
+    obs::WorkerStats& ws = rec->worker_stats(w);
+    ws.wall_ns += rec->now_ns() - t_start;
     ws.wait_ns += wait_ns;
     ws.iters += iters_done;
   }
 }
 
 void ThreadedExecutor::run_threaded(int iters) {
-  const std::int64_t first = steady_run_ + 1;
-  const std::int64_t last = steady_run_ + iters;
+  const std::int64_t first = exec_->steady_run_ + 1;
+  const std::int64_t last = exec_->steady_run_ + iters;
   abort_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
   std::vector<std::thread> pool;
@@ -934,191 +628,109 @@ void ThreadedExecutor::run_threaded(int iters) {
   }
   worker(0, first, last);
   for (auto& t : pool) t.join();
-  steady_run_ = last;
+  exec_->steady_run_ = last;
   steps_run_ += (static_cast<std::int64_t>(iters) + batch_ - 1) / batch_;
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
 std::vector<double> ThreadedExecutor::run_steady(int n) {
-  if (seq_) return seq_->run_steady(n);
-  run_init();
+  Executor& ex = *exec_;
+  if (!report_.threaded) return ex.run_steady(n);
+  ex.run_init();
   int remaining = n;
   if (!partitioned_ && remaining > 0) {
     // Calibration: one sequential steady state to measure per-actor work,
     // then freeze the partition and migrate cross-thread edges.
-    if (tb0_ != nullptr) {
-      tb0_->emit(rec_->now_ns(), obs::EventKind::Phase,
-                 static_cast<std::int32_t>(obs::PhaseId::Calibration));
+    if (ex.tb_ != nullptr) {
+      ex.tb_->emit(ex.rec_->now_ns(), obs::EventKind::Phase,
+                   static_cast<std::int32_t>(obs::PhaseId::Calibration));
     }
-    ++steady_run_;
-    ensure_input_for(sched_.input_for_init +
-                     steady_run_ * sched_.input_per_steady);
-    run_epoch(sched_.reps);
+    ex.steady_epoch();
     --remaining;
     partition_and_migrate();
   }
   if (remaining > 0) {
-    if (tb0_ != nullptr && !steady_marked_) {
-      tb0_->emit(rec_->now_ns(), obs::EventKind::Phase,
-                 static_cast<std::int32_t>(obs::PhaseId::Steady));
-      steady_marked_ = true;
-    }
+    ex.mark_steady();
     run_threaded(remaining);
     // With the workers joined, every high-water counter is quiescent;
     // debug and observability builds re-verify the static bounds held.
     if (kDebugBuild || obs::kCompiledIn) check_bounds();
   }
-  return take_output();
+  return ex.take_output();
+}
+
+std::int64_t ThreadedExecutor::edge_bound(std::size_t e) const {
+  if (e >= bounds_.post_init.size() || bounds_.post_init[e] < 0) return -1;
+  return rings_[e] ? bounds_.pipelined(e, kWindow, batch_)
+                   : bounds_.channel_bound(e, batch_);
+}
+
+std::int64_t ThreadedExecutor::edge_peak(std::size_t e) const {
+  return static_cast<std::int64_t>(rings_[e] ? rings_[e]->high_water()
+                                             : exec_->chans_[e]->high_water());
 }
 
 void ThreadedExecutor::check_bounds() const {
-  for (std::size_t e = 0; e < g_.edges.size(); ++e) {
-    if (e >= bounds_.post_init.size() || bounds_.post_init[e] < 0) continue;
-    const bool ring = rings_[e] != nullptr;
-    const std::int64_t limit = ring
-                                   ? bounds_.pipelined(e, kWindow, batch_)
-                                   : bounds_.channel_bound(e, batch_);
-    const std::int64_t seen = static_cast<std::int64_t>(
-        ring ? rings_[e]->high_water() : chans_[e]->high_water());
+  const runtime::FlatGraph& g = graph();
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    const std::int64_t limit = edge_bound(e);
+    if (limit < 0) continue;
+    const std::int64_t seen = edge_peak(e);
     if (seen > limit) {
-      const auto& ed = g_.edges[e];
+      const auto& ed = g.edges[e];
       const std::string name =
-          g_.actors[static_cast<std::size_t>(ed.src)].name + "->" +
-          g_.actors[static_cast<std::size_t>(ed.dst)].name;
+          g.actors[static_cast<std::size_t>(ed.src)].name + "->" +
+          g.actors[static_cast<std::size_t>(ed.dst)].name;
       throw std::logic_error(
           "channel-bound violation on edge '" + name + "' (" +
-          (ring ? "ring" : "channel") + "): observed peak " +
+          (rings_[e] ? "ring" : "channel") + "): observed peak " +
           std::to_string(seen) + " items exceeds static bound " +
           std::to_string(limit));
     }
   }
 }
 
-std::vector<double> ThreadedExecutor::take_output() {
-  if (seq_) return seq_->take_output();
-  std::vector<double> out;
-  if (g_.output_edge < 0) return out;
-  // The output edge's consumer is external, so it is never migrated to a
-  // ring; the producing worker has joined by the time we drain it.
-  Channel& ch = *chans_[static_cast<std::size_t>(g_.output_edge)];
-  out.reserve(ch.size());
-  while (!ch.empty()) out.push_back(ch.pop_item());
-  return out;
-}
-
 obs::MetricsSnapshot ThreadedExecutor::metrics_snapshot() const {
-  if (seq_) {
-    obs::MetricsSnapshot m = seq_->metrics_snapshot();
-    m.fallback = sched::to_string(report_.fallback);
-    m.fallback_detail = report_.fallback_reason;
-    return m;
-  }
+  obs::MetricsSnapshot m = exec_->metrics_snapshot();
+  m.fallback = sched::to_string(report_.fallback);
+  m.fallback_detail = report_.fallback_reason;
+  if (!report_.threaded) return m;
 
-  obs::MetricsSnapshot m;
-  // Fused degrades to per-actor VM under the threaded runtime; report what
-  // actually drives the workers.
-  m.engine = engine_ == Engine::Tree ? "tree" : "vm";
   m.threads = threads_;
   m.batch = batch_;
   m.threaded = true;
-  m.fallback = "none";
   m.predicted_speedup = report_.predicted_speedup;
-  m.pipeline = pipeline_;
-  m.passes = passes_;
-  if (typed_on_) {
-    m.typed_actors = 0;
-    m.typed_regs = 0;
-    for (const auto& tb : tbf_) {
-      if (tb) {
-        ++m.typed_actors;
-        m.typed_regs += tb->program().work.typed_regs;
-      }
-    }
+  // The partitioners' cost: calibration cycles whether or not per-firing
+  // counting stayed on afterwards.
+  const std::vector<OpCounts>& calib = calibration();
+  for (std::size_t i = 0; i < m.actors.size(); ++i) {
+    m.actors[i].calib_cycles = calib[i].weighted();
+    m.actors[i].worker = partitioned_ ? owner_[i] : 0;
   }
-
-  m.actors.reserve(g_.actors.size());
-  for (std::size_t i = 0; i < g_.actors.size(); ++i) {
-    obs::ActorSnapshot a;
-    a.name = g_.actors[i].name;
-    a.firings = fired_[i];
-    a.ops = ops_[i];
-    // The partitioners' cost: calibration cycles whether or not per-firing
-    // counting stayed on afterwards.
-    a.calib_cycles = (opts_.count_ops ? ops_[i] : calib_[i]).weighted();
-    a.worker = partitioned_ ? owner_[i] : 0;
-    if (rec_ && i < rec_->all_actor_stats().size()) {
-      const obs::FiringStats& fs = rec_->all_actor_stats()[i];
-      a.wall_ns = fs.wall_ns;
-      a.max_ns = fs.max_ns;
-      a.hist.assign(fs.hist.begin(), fs.hist.end());
-    }
-    if (tbf_[i]) {
-      a.typed_status = "typed";
-      a.typed_regs = tbf_[i]->program().work.typed_regs;
-    } else if (typed_on_ && !typed_refusal_[i].empty()) {
-      a.typed_status = typed_refusal_[i];
-    }
-    m.actors.push_back(std::move(a));
-  }
-
-  m.edges.reserve(g_.edges.size());
-  for (std::size_t e = 0; e < g_.edges.size(); ++e) {
-    const auto& ed = g_.edges[e];
-    obs::EdgeSnapshot s;
-    s.src = ed.src;
-    s.dst = ed.dst;
-    s.name = (ed.src >= 0 ? g_.actors[static_cast<std::size_t>(ed.src)].name
-                          : std::string("input")) +
-             "->" +
-             (ed.dst >= 0 ? g_.actors[static_cast<std::size_t>(ed.dst)].name
-                          : std::string("output"));
+  for (std::size_t e = 0; e < m.edges.size(); ++e) {
+    obs::EdgeSnapshot& s = m.edges[e];
     s.ring = rings_[e] != nullptr;
     s.pushed = edge_pushed(static_cast<int>(e));
     s.popped = edge_popped(static_cast<int>(e));
-    s.peak_items = static_cast<std::int64_t>(
-        s.ring ? rings_[e]->high_water() : chans_[e]->high_water());
-    if (e < bounds_.post_init.size() && bounds_.post_init[e] >= 0) {
-      s.bound_items = s.ring ? bounds_.pipelined(e, kWindow, batch_)
-                             : bounds_.channel_bound(e, batch_);
-    }
-    m.edges.push_back(std::move(s));
+    s.peak_items = edge_peak(e);
+    s.bound_items = edge_bound(e);
   }
-
-  if (typed_on_) {
-    std::vector<runtime::Tag> push(g_.actors.size(), runtime::Tag::Double);
-    for (std::size_t i = 0; i < g_.actors.size(); ++i) {
-      if (tbf_[i]) push[i] = tbf_[i]->program().work.push_tag;
-    }
-    const auto content = analysis::propagate_edge_tags(g_, push);
-    m.typed_channels = 0;
-    for (std::size_t e = 0; e < content.size(); ++e) {
-      m.edges[e].content =
-          content[e] == runtime::Tag::Double ? "double" : "int";
-      if (content[e] == runtime::Tag::Double) ++m.typed_channels;
-    }
-  }
-
   for (int w = 0; w < threads_; ++w) {
     obs::WorkerSnapshot ws;
     ws.id = w;
     ws.actors = partitioned_
                     ? static_cast<int>(plan_[static_cast<std::size_t>(w)].size())
                     : 0;
-    if (rec_ &&
-        static_cast<std::size_t>(w) < rec_->all_worker_stats().size()) {
-      const obs::WorkerStats& st = rec_->all_worker_stats()[static_cast<std::size_t>(w)];
+    const obs::Recorder* rec = exec_->recorder();
+    if (rec != nullptr &&
+        static_cast<std::size_t>(w) < rec->all_worker_stats().size()) {
+      const obs::WorkerStats& st = rec->all_worker_stats()[static_cast<std::size_t>(w)];
       ws.wall_ns = st.wall_ns;
       ws.wait_ns = st.wait_ns;
       ws.iters = st.iters;
     }
     m.workers.push_back(ws);
   }
-
-  if (rec_) {
-    m.trace_events = rec_->total_events();
-    m.trace_dropped = rec_->total_dropped();
-  }
-  obs::annotate_cost_model(&m);
   return m;
 }
 

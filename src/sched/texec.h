@@ -5,12 +5,16 @@
 // firing at a time, and machine::simulate only *models* parallel speedup.
 // ThreadedExecutor closes that gap: it places the flattened graph's actors
 // onto N OS threads and runs a software-pipelined steady state per worker.
+// It never fires an actor itself: it owns one sequential Executor (actor
+// storage, compiled work functions, channels, counters, tracing) and its
+// workers fire that executor's actors, so there is one firing path and one
+// set of per-actor rows for both runtimes.
 //
 // Execution model:
-//   * Initialization and the first steady state run sequentially; the first
-//     steady state doubles as a calibration run that measures each actor's
-//     cycle weight (runtime::OpCounts::weighted -- the same cost table the
-//     machine model uses).
+//   * Initialization and the first steady state run sequentially as the
+//     Executor's own epochs; the first steady state doubles as a calibration
+//     run that measures each actor's cycle weight (runtime::OpCounts::
+//     weighted -- the same cost table the machine model uses).
 //   * Actors are then partitioned by longest-processing-time greedy
 //     balancing over the measured weights, with an affinity pass that glues
 //     featherweight actors (splitters, sinks, gains) to their heaviest
@@ -28,14 +32,20 @@
 //     publishes once per B*T items, and the window counters advance once per
 //     B iterations.
 //   * Cross-thread edges are migrated to lock-free SPSC rings in deferred
-//     (bulk-publication) mode (runtime/spsc.h); intra-thread edges keep the
-//     unsynchronized Channel.  A sliding step window (kPipelineWindow) caps
-//     how far any worker runs ahead, which bounds ring occupancy so each
-//     ring is sized once to the exact static bound
+//     (bulk-publication) mode (runtime/spsc.h): the Executor's per-edge tape
+//     table is repointed from the edge's Channel to its ring, so the same
+//     firing code reads and writes rings without knowing it.  Intra-thread
+//     edges keep the unsynchronized Channel.  A sliding step window
+//     (kPipelineWindow) caps how far any worker runs ahead, which bounds
+//     ring occupancy so each ring is sized once to the exact static bound
 //     analysis::channel_bounds computes: post-init level +
 //     (window + 1) * B * steady-state traffic.  Debug/observability builds
 //     re-check every edge's observed high water against its static bound
 //     after the workers join.
+//   * High water: the sequential epochs note every channel after each
+//     firing, exactly as the Executor always does.  A worker notes only the
+//     fired actor's plain channels (which it owns); noting the others would
+//     race with their owners.  Rings track their own high water.
 //   * Deadlock freedom: induction over (step, topo position).  The earliest
 //     unfinished firing's data waits point only at strictly smaller
 //     (step, topo) pairs (back edges carry the previous step's items, and
@@ -43,12 +53,16 @@
 //     covers a whole batch) and its space waits at consumers of strictly
 //     smaller pairs, so some actor can always proceed.
 //
+// Engines: the workers fire per actor, so a requested Engine::Fused builds
+// the Executor on the VM instead (its whole-program trace is inherently
+// single-threaded and would only cost set-up time and memory).
+//
 // Determinism: every actor's state, tally, and every channel's FIFO content
 // have exactly one owner thread, so outputs, final filter state, and the
 // cumulative push/pop counters are bit-equal to the sequential executor
 // (tests/test_texec.cc holds this differentially).
 //
-// Out of scope -- these fall back to an embedded sequential Executor (see
+// Out of scope -- these run the owned Executor sequentially as-is (see
 // ThreadedReport::fallback_reason): thread counts <= 1, teleport messaging
 // (handlers, Send statements, or an attached message_sink: delivery points
 // are defined against the sequential schedule), and graphs whose steady
@@ -63,16 +77,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/bounds_chan.h"
 #include "ir/graph.h"
-#include "runtime/channel.h"
 #include "runtime/flatgraph.h"
-#include "runtime/interp.h"
 #include "runtime/spsc.h"
-#include "runtime/typed.h"
-#include "runtime/vm.h"
 #include "sched/exec.h"
 #include "sched/schedule.h"
 
@@ -131,29 +142,45 @@ class ThreadedExecutor {
   // Artifact-taking form: consume a pipeline-compiled program -- no
   // re-analysis/flatten/schedule.  opts.engine / opts.threads of Auto / 0
   // fall back to the program's resolved choice before consulting the
-  // environment; the embedded sequential fallback reuses the same artifact.
+  // environment.
   explicit ThreadedExecutor(CompiledProgram prog, ExecOptions opts = {});
   ~ThreadedExecutor();
 
-  [[nodiscard]] const runtime::FlatGraph& graph() const;
-  [[nodiscard]] const Schedule& schedule() const;
+  [[nodiscard]] const runtime::FlatGraph& graph() const {
+    return exec_->graph();
+  }
+  [[nodiscard]] const Schedule& schedule() const { return exec_->schedule(); }
 
   // External input -- same contract as Executor.  Only callable between
   // run_* calls (no worker is running then).
-  void feed_input(const std::vector<double>& items);
-  void set_input_generator(std::function<double(std::int64_t)> gen);
+  void feed_input(const std::vector<double>& items) {
+    exec_->feed_input(items);
+  }
+  void set_input_generator(std::function<double(std::int64_t)> gen) {
+    exec_->set_input_generator(std::move(gen));
+  }
 
-  void run_init();
+  void run_init() { exec_->run_init(); }
   // Run `n` steady states (init + calibration happen on first demand);
   // returns the items pushed to the program output.
   std::vector<double> run_steady(int n);
-  std::vector<double> take_output();
+  std::vector<double> take_output() { return exec_->take_output(); }
 
-  [[nodiscard]] Engine engine() const;
-  [[nodiscard]] const std::vector<std::int64_t>& firings() const;
-  [[nodiscard]] const std::vector<runtime::OpCounts>& actor_ops() const;
-  [[nodiscard]] runtime::OpCounts total_ops() const;
-  runtime::FilterState& filter_state(int actor);
+  // The engine driving the actors (Fused already degraded to Vm when
+  // running threaded).
+  [[nodiscard]] Engine engine() const { return exec_->engine(); }
+  [[nodiscard]] const std::vector<std::int64_t>& firings() const {
+    return exec_->firings();
+  }
+  [[nodiscard]] const std::vector<runtime::OpCounts>& actor_ops() const {
+    return exec_->actor_ops();
+  }
+  [[nodiscard]] runtime::OpCounts total_ops() const {
+    return exec_->total_ops();
+  }
+  runtime::FilterState& filter_state(int actor) {
+    return exec_->filter_state(actor);
+  }
   // Cumulative per-edge counters -- n(t)/p(t), regardless of whether the
   // edge lives on a Channel or was migrated to a ring.
   [[nodiscard]] std::int64_t edge_pushed(int edge) const;
@@ -166,32 +193,24 @@ class ThreadedExecutor {
   // sized to bounds().pipelined(e, kPipelineWindow, report().batch);
   // intra-worker channels never exceed
   // bounds().channel_bound(e, report().batch).  Empty-graph defaults when
-  // the executor fell back to the sequential path (use the embedded
-  // executor's metrics instead).
+  // the executor fell back before its eligibility checks (one thread or a
+  // message sink).
   [[nodiscard]] const analysis::ChannelBounds& bounds() const {
     return bounds_;
   }
 
   // --- observability --------------------------------------------------------
-  // Null unless tracing is enabled; delegates to the embedded sequential
-  // executor's recorder when fallen back.
+  // Null unless tracing is enabled.
   [[nodiscard]] obs::Recorder* recorder() noexcept {
-    return seq_ ? seq_->recorder() : rec_.get();
+    return exec_->recorder();
   }
-  // Quiescent snapshot (only call between run_* calls).  Reuses the
-  // calibration costs as per-actor cycle weights and attributes each actor
-  // to its owning worker.
+  // Quiescent snapshot (only call between run_* calls): the Executor's
+  // snapshot with the threaded overlays -- calibration costs as per-actor
+  // cycle weights, each actor's owning worker, ring counters and the
+  // pipelined bounds per edge, the batch, and the worker table.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
-  FallbackReason refusal_reason(std::string* detail) const;
-  void build_storage();
-  ir::InTape* in_tape(int edge);
-  ir::OutTape* out_tape(int edge);
-  bool can_fire(int actor) const;
-  void fire_actor(int actor, runtime::OpCounts* counts, obs::ThreadBuffer* tb);
-  void run_epoch(const std::vector<std::int64_t>& quota);
-  void ensure_input_for(std::int64_t items_needed);
   void partition_and_migrate();
   // Resolve the batch factor for this placement: explicit requests clamp to
   // the static max_batch; auto sizes from cross-edge traffic, measured cost,
@@ -204,47 +223,26 @@ class ThreadedExecutor {
   void stage_input(std::int64_t last_iter, std::int64_t chunk);
   std::int64_t min_completed() const;
   void check_bounds() const;  // throws if occupancy exceeded a static bound
+  // Static bound on edge `e` under this placement (-1: none) and its
+  // observed peak, from the ring or the Channel holding it.
+  [[nodiscard]] std::int64_t edge_bound(std::size_t e) const;
+  [[nodiscard]] std::int64_t edge_peak(std::size_t e) const;
+  // The per-actor cost the partitioner balances: the calibration tallies.
+  [[nodiscard]] const std::vector<runtime::OpCounts>& calibration() const;
 
-  ir::NodeP root_;
-  ExecOptions opts_;
   ThreadedReport report_;
-  std::unique_ptr<Executor> seq_;  // fallback path; null when threaded
-
-  runtime::FlatGraph g_;
-  Schedule sched_;
   analysis::ChannelBounds bounds_;
-  Engine engine_{Engine::Vm};
-  Engine prog_engine_{Engine::Auto};  // the CompiledProgram's resolved choice
-  std::string pipeline_;
-  std::vector<obs::PassSnapshot> passes_;
-  std::vector<std::unique_ptr<runtime::Channel>> chans_;
-  std::vector<std::unique_ptr<runtime::SpscRing>> rings_;
-  std::vector<runtime::FilterState> fstate_;
-  std::vector<std::unique_ptr<runtime::VmBound>> vmf_;
-  // Typed (dual-plane) bindings, preferred over vmf_ where inference proved
-  // the work function monomorphic; same per-actor fallback as Executor.
-  std::vector<std::unique_ptr<runtime::TypedBound>> tbf_;
-  std::vector<std::string> typed_refusal_;
-  bool typed_on_{false};
-  std::vector<std::unique_ptr<ir::NativeState>> nstate_;
-  std::vector<runtime::OpCounts> ops_;
+  std::vector<std::unique_ptr<runtime::SpscRing>> rings_;  // null: Channel
   std::vector<runtime::OpCounts> calib_;  // weights when count_ops is off
-  std::vector<std::int64_t> fired_;
-  std::function<double(std::int64_t)> input_gen_;
-  std::int64_t input_fed_{0};
-  std::int64_t steady_run_{0};
-  bool init_done_{false};
-  bool steady_marked_{false};
+  // Actor storage, firing, channels and tracing; sequential when fallen
+  // back.  Declared after the rings and calib_ it points into, so it is
+  // destroyed first.
+  std::unique_ptr<Executor> exec_;
 
   // Stall detector (resolved from ExecOptions / SIT_STALL_MS at
   // construction; < 0 = never abort).
   int stall_ms_{120000};
   int spin_yield_{128};
-
-  // Tracing (null when disabled; tb0_ is the main thread's buffer, shared by
-  // the sequential epochs and worker 0, which run on the same thread).
-  std::unique_ptr<obs::Recorder> rec_;
-  obs::ThreadBuffer* tb0_{nullptr};
 
   // Frozen after the calibration steady state.
   bool partitioned_{false};

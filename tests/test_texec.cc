@@ -22,6 +22,7 @@
 #include "apps/common.h"
 #include "apps/radio.h"
 #include "ir/dsl.h"
+#include "opt/compile.h"
 #include "parallel/transforms.h"
 #include "runtime/spsc.h"
 #include "sched/envopts.h"
@@ -333,6 +334,81 @@ TEST(TexecReport, PartitionCoversEveryActor) {
     EXPECT_LT(o, rep.threads);
   }
   EXPECT_GT(rep.predicted_speedup, 0.0);
+}
+
+// ---- metrics snapshot -------------------------------------------------------
+
+// The threaded snapshot is the owned Executor's snapshot plus threaded
+// overlays, so its per-actor typed rows, firings and op tallies, its
+// per-edge content tags and counters, and the typed totals must equal a
+// sequential Executor's over the same artifact and steady states.
+TEST(TexecSnapshot, RowsMatchSequentialOnAllAppsAtO2) {
+  int threaded = 0;
+  for (const auto& info : apps::all_apps()) {
+    SCOPED_TRACE(info.name);
+    opt::CompileOptions copts;
+    copts.level = opt::OptLevel::O2;
+    copts.exec.threads = 4;
+    const sched::CompiledProgram prog = opt::compile(info.make(), copts);
+    sched::Executor seq(prog, {});
+    sched::ExecOptions topt;
+    topt.threads = 4;
+    sched::ThreadedExecutor tex(prog, topt);
+    if (seq.graph().input_edge >= 0) {
+      const auto gen = [](std::int64_t i) {
+        return static_cast<double>((i % 32) - 16) / 16.0;
+      };
+      seq.set_input_generator(gen);
+      tex.set_input_generator(gen);
+    }
+    seq.run_steady(5);
+    tex.run_steady(5);
+    threaded += tex.report().threaded ? 1 : 0;
+
+    const obs::MetricsSnapshot ms = seq.metrics_snapshot();
+    const obs::MetricsSnapshot mt = tex.metrics_snapshot();
+    EXPECT_EQ(ms.typed_actors, mt.typed_actors);
+    EXPECT_EQ(ms.typed_regs, mt.typed_regs);
+    EXPECT_EQ(ms.typed_channels, mt.typed_channels);
+    ASSERT_EQ(ms.actors.size(), mt.actors.size());
+    for (std::size_t i = 0; i < ms.actors.size(); ++i) {
+      const obs::ActorSnapshot& a = ms.actors[i];
+      const obs::ActorSnapshot& b = mt.actors[i];
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.typed_status, b.typed_status) << a.name;
+      EXPECT_EQ(a.typed_regs, b.typed_regs) << a.name;
+      EXPECT_EQ(a.firings, b.firings) << a.name;
+      expect_same_counts(a.ops, b.ops, a.name);
+    }
+    ASSERT_EQ(ms.edges.size(), mt.edges.size());
+    for (std::size_t e = 0; e < ms.edges.size(); ++e) {
+      const obs::EdgeSnapshot& a = ms.edges[e];
+      const obs::EdgeSnapshot& b = mt.edges[e];
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.content, b.content) << a.name;
+      EXPECT_EQ(a.pushed, b.pushed) << a.name;
+      EXPECT_EQ(a.popped, b.popped) << a.name;
+    }
+  }
+  EXPECT_GT(threaded, 0);
+}
+
+// Workers fire per actor, so a threaded run that asks for the fused engine
+// must never build the whole-program trace (set-up time and memory).
+TEST(TexecSnapshot, ThreadsNeverBuildFusedTrace) {
+  sched::ExecOptions topt;
+  topt.threads = 4;
+  topt.engine = sched::Engine::Fused;
+  sched::ThreadedExecutor tex(
+      parallel::coarsen_for_threads(apps::make_filter_bank(), 4), topt);
+  tex.run_steady(3);
+  ASSERT_TRUE(tex.report().threaded) << tex.report().fallback_reason;
+  EXPECT_EQ(tex.engine(), sched::Engine::Vm);
+  const obs::MetricsSnapshot m = tex.metrics_snapshot();
+  EXPECT_EQ(m.engine, "vm");
+  EXPECT_EQ(m.fallback, "none");
+  EXPECT_TRUE(m.fused_super.empty());
+  EXPECT_EQ(m.fused_channels, -1);
 }
 
 // ---- iteration batching -----------------------------------------------------
