@@ -49,4 +49,16 @@ FusePlan fuse_plan(const runtime::FlatGraph& g, const sched::Schedule& s) {
   return plan;
 }
 
+runtime::FusedProgramP fuse_steady(const runtime::FlatGraph& g,
+                                   const sched::Schedule& s,
+                                   std::string* refusal) {
+  const FusePlan plan = fuse_plan(g, s);
+  if (!plan.admissible) {
+    if (refusal) *refusal = plan.refusal;
+    return nullptr;
+  }
+  return runtime::build_fused(g, s.order, s.reps, plan.carry, plan.traffic,
+                              refusal);
+}
+
 }  // namespace sit::analysis

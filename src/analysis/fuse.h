@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "runtime/flatgraph.h"
+#include "runtime/fused.h"
 #include "sched/schedule.h"
 
 namespace sit::analysis {
@@ -60,5 +61,12 @@ struct FusePlan {
 // Requires a schedule computed from this exact graph (make_schedule output).
 // Never throws on an inadmissible program -- the plan carries the refusal.
 FusePlan fuse_plan(const runtime::FlatGraph& g, const sched::Schedule& s);
+
+// fuse_plan + runtime::build_fused: the steady-state trace of (g, s), or
+// null with `refusal` set to fuse_plan's or build_fused's stable reason.  The
+// trace points into `g`, which must outlive it.
+runtime::FusedProgramP fuse_steady(const runtime::FlatGraph& g,
+                                   const sched::Schedule& s,
+                                   std::string* refusal = nullptr);
 
 }  // namespace sit::analysis

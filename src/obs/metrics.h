@@ -101,10 +101,12 @@ struct MetricsSnapshot {
   double predicted_speedup{0};
 
   // Fused-engine statics (engine == "fused" with an active trace only):
-  // superinstruction instance counts by stable name (runtime/fused.h) and
-  // the number of internal channels lowered to trace buffers.
+  // superinstruction instance counts by stable name (runtime/fused.h), the
+  // number of internal channels lowered to trace buffers, and the length of
+  // the (rolled) trace in instructions.
   std::vector<std::pair<std::string, std::int64_t>> fused_super;
   int fused_channels{-1};  // -1 = not running a fused trace
+  std::int64_t fused_trace_instrs{-1};
 
   // Typed-dataflow specialization counters (-1 = typed mode off or not
   // surveyed): actors running on the dual-plane register file, their total

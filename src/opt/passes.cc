@@ -302,17 +302,9 @@ class FuseSteadyPass final : public Pass {
     rec.site = "steady-state";
     try {
       const runtime::FlatGraph g = runtime::flatten(root);
-      const sched::Schedule s = sched::make_schedule(g);
-      const analysis::FusePlan plan = analysis::fuse_plan(g, s);
-      if (!plan.admissible) {
-        rec.note = plan.refusal;
-        ctx.rewrites.push_back(std::move(rec));
-        return {root, false};
-      }
       std::string reason;
       const runtime::FusedProgramP prog =
-          runtime::build_fused(g, s.order, s.reps, plan.carry, plan.traffic,
-                               &reason);
+          analysis::fuse_steady(g, sched::make_schedule(g), &reason);
       if (!prog) {
         rec.note = reason;
         ctx.rewrites.push_back(std::move(rec));

@@ -145,18 +145,19 @@ class TraceBuilder {
     set.op = FOp::SetActor;
     set.a = static_cast<std::uint16_t>(actor);
     prog_->code.push_back(set);
+    if (reps_[ai] <= 0) return;  // does not fire in the steady state
 
     switch (a.kind) {
       case FlatActor::Kind::Filter: {
         std::vector<FInstr> tmpl = translate_filter(actor);
         peephole(tmpl);
-        for (std::int64_t r = 0; r < reps_[ai]; ++r) {
-          FInstr reset{};
-          reset.op = FOp::ResetRegs;
-          reset.a = static_cast<std::uint16_t>(actor);
-          prog_->code.push_back(reset);
-          append_template(tmpl);
-        }
+        FInstr reset{};
+        reset.op = FOp::ResetRegs;
+        reset.a = static_cast<std::uint16_t>(actor);
+        prog_->code.push_back(reset);
+        const std::size_t body = prog_->code.size();
+        append_template(tmpl);
+        close_loop(actor, body, /*retemplate=*/true);
         break;
       }
       case FlatActor::Kind::Native: {
@@ -175,14 +176,38 @@ class TraceBuilder {
         I.op = FOp::NativeFire;
         I.a = static_cast<std::uint16_t>(prog_->nats.size());
         prog_->nats.push_back(nf);
-        for (std::int64_t r = 0; r < reps_[ai]; ++r) prog_->code.push_back(I);
+        const std::size_t body = prog_->code.size();
+        prog_->code.push_back(I);
+        close_loop(actor, body, /*retemplate=*/false);
         break;
       }
       case FlatActor::Kind::Splitter:
-      case FlatActor::Kind::Joiner:
-        for (std::int64_t r = 0; r < reps_[ai]; ++r) emit_sj_firing(actor);
+      case FlatActor::Kind::Joiner: {
+        const std::size_t body = prog_->code.size();
+        emit_sj_firing(actor);
+        // A firing that is one copy-run/dup-run merges with its neighbours
+        // into a single run of reps x the items; anything else loops.
+        if (prog_->code.size() == body + 1 &&
+            prog_->code.back().op == FOp::CopyRun) {
+          prog_->copies[prog_->code.back().a].n *= reps_[ai];
+        } else {
+          close_loop(actor, body, /*retemplate=*/false);
+        }
         break;
+      }
     }
+  }
+
+  // Close actor `actor`'s loop over the body starting at `body`: a Repeat
+  // back to it, unless the actor fires once per iteration.
+  void close_loop(int actor, std::size_t body, bool retemplate) {
+    if (reps_[static_cast<std::size_t>(actor)] <= 1) return;
+    FInstr rep{};
+    rep.op = FOp::Repeat;
+    rep.sub = retemplate ? 1 : 0;
+    rep.a = static_cast<std::uint16_t>(actor);
+    rep.jump = static_cast<std::int32_t>(body);
+    prog_->code.push_back(rep);
   }
 
   [[nodiscard]] bool edge_internal(int e) const {
@@ -504,7 +529,8 @@ class TraceBuilder {
   // splitter counts 2 per item even on a dangling branch; a duplicate
   // splitter counts 1 + fan-out per firing; a joiner skips dangling inputs
   // entirely.  Runs of identical item moves become copy-run/dup-run
-  // superinstructions and merge across adjacent firings.
+  // superinstructions (a firing that is one run folds all reps[a] firings
+  // into it, in emit_actor).
   void emit_sj_firing(int actor) {
     const auto ai = static_cast<std::size_t>(actor);
     const FlatActor& a = g_.actors[ai];
@@ -601,18 +627,10 @@ class TraceBuilder {
     }
   }
 
-  // Append a copy-run, merging into the previous instruction when it is an
-  // identical run (adjacent firings of the same splitter/joiner port).
+  // Append a copy-run.  (Every port has its own edge, so two runs of one
+  // firing never move between the same edges; only whole firings merge, in
+  // emit_actor.)
   void append_copy(CopyRunArgs args) {
-    if (!prog_->code.empty() && prog_->code.back().op == FOp::CopyRun) {
-      CopyRunArgs& prev = prog_->copies[prog_->code.back().a];
-      if (prev.src == args.src && prev.src_real == args.src_real &&
-          prev.dst == args.dst && prev.dst_real == args.dst_real &&
-          prev.reg == args.reg) {
-        prev.n += args.n;
-        return;
-      }
-    }
     if (prog_->copies.size() >= 0xFFFF) fail("args-table overflow");
     FInstr I{};
     I.op = FOp::CopyRun;
@@ -621,26 +639,39 @@ class TraceBuilder {
     prog_->code.push_back(I);
   }
 
+  // Instances per iteration: a superinstruction inside an actor's loop
+  // counts once per pass.
   void count_super() {
-    for (const FInstr& I : prog_->code) {
+    const std::vector<FInstr>& code = prog_->code;
+    std::vector<std::int64_t> weight(code.size(), 1);
+    for (std::size_t pc = 0; pc < code.size(); ++pc) {
+      if (code[pc].op != FOp::Repeat) continue;
+      const std::int64_t n = prog_->reps[code[pc].a];
+      for (auto k = static_cast<std::size_t>(code[pc].jump); k < pc; ++k) {
+        weight[k] = n;
+      }
+    }
+    for (std::size_t pc = 0; pc < code.size(); ++pc) {
+      const FInstr& I = code[pc];
+      const char* name = nullptr;
       switch (I.op) {
         case FOp::MacLoop:
-          ++prog_->super[prog_->macs[I.a].has_array ? "mac-loop" : "sum-loop"];
+          name = prog_->macs[I.a].has_array ? "mac-loop" : "sum-loop";
           break;
         case FOp::PopComputePush:
           switch (prog_->pcps[I.a].kind) {
-            case PcpArgs::Kind::Plain: ++prog_->super["pop-push"]; break;
-            case PcpArgs::Kind::Bin: ++prog_->super["pop-bin-push"]; break;
-            case PcpArgs::Kind::Un: ++prog_->super["pop-un-push"]; break;
+            case PcpArgs::Kind::Plain: name = "pop-push"; break;
+            case PcpArgs::Kind::Bin: name = "pop-bin-push"; break;
+            case PcpArgs::Kind::Un: name = "pop-un-push"; break;
           }
           break;
         case FOp::CopyRun:
-          ++prog_->super[prog_->copies[I.a].dst.size() > 1 ? "dup-run"
-                                                           : "copy-run"];
+          name = prog_->copies[I.a].dst.size() > 1 ? "dup-run" : "copy-run";
           break;
         default:
           break;
       }
+      if (name != nullptr) prog_->super[name] += weight[pc];
     }
   }
 
@@ -699,6 +730,7 @@ const char* fop_name(FOp op) {
     case FOp::TPush: return "t.push";
     case FOp::SetActor: return "setactor";
     case FOp::ResetRegs: return "resetregs";
+    case FOp::Repeat: return "repeat";
     case FOp::MacLoop: return "macloop";
     case FOp::PopComputePush: return "pcp";
     case FOp::CopyRun: return "copyrun";
@@ -731,6 +763,9 @@ std::string FusedProgram::disassemble() const {
       case FOp::SetActor:
       case FOp::ResetRegs:
         out += " " + actors[I.a].name;
+        break;
+      case FOp::Repeat:
+        out += " ×" + std::to_string(reps[I.a]) + " " + actors[I.a].name;
         break;
       case FOp::MacLoop: {
         const MacLoopArgs& M = macs[I.a];
@@ -1065,6 +1100,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
   const FusedActorMeta* meta = nullptr;
   std::int64_t window = 0;
   std::int64_t pops = 0;
+  std::int64_t pass = 0;  // completed passes of the current actor's loop
   std::int32_t pc = 0;
 
   // ByResult was resolved at lowering, so every tally is a single add.
@@ -1083,6 +1119,19 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
     } else {
       (void)tag;
     }
+  };
+
+  // A firing's start: re-template both plane slices of the actor's
+  // registers (typed_lower split m.reg_init across them; the off-plane cells
+  // are zero, which no read can observe) and restart the peek window.
+  const auto reset_regs = [&](std::uint16_t actor) {
+    const FusedActorMeta& m = base.actors[actor];
+    const std::size_t nr = m.reg_init.size();
+    std::copy_n(prog_->code.dreg_init.data() + m.reg_base, nr,
+                dr + m.reg_base);
+    std::copy_n(prog_->code.ireg_init.data() + m.reg_base, nr,
+                ir_ + m.reg_base);
+    pops = 0;
   };
 
   const auto tpop = [&](std::int32_t e) {
@@ -1303,19 +1352,19 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         if constexpr (kCount) cur = &actor_counts[I.a];
         ++pc;
         break;
-      case FOp::ResetRegs: {
-        const FusedActorMeta& m = base.actors[I.a];
-        // Re-template both plane slices (typed_lower split m.reg_init across
-        // them; the off-plane cells are zero, which no read can observe).
-        const std::size_t nr = m.reg_init.size();
-        std::copy_n(prog_->code.dreg_init.data() + m.reg_base, nr,
-                    dr + m.reg_base);
-        std::copy_n(prog_->code.ireg_init.data() + m.reg_base, nr,
-                    ir_ + m.reg_base);
-        pops = 0;
+      case FOp::ResetRegs:
+        reset_regs(I.a);
         ++pc;
         break;
-      }
+      case FOp::Repeat:
+        if (++pass < base.reps[I.a]) {
+          if (I.sub != 0) reset_regs(I.a);
+          pc = I.jump;
+        } else {
+          pass = 0;
+          ++pc;
+        }
+        break;
       case FOp::MacLoop: {
         const MacLoopArgs& M = base.macs[I.a];
         std::int64_t i = ir_[M.ri];

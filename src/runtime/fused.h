@@ -4,23 +4,37 @@
 // The per-actor VM (vm.h) still pays, on every steady-state iteration, one
 // work-function dispatch per firing and a ring-buffer round trip per item.
 // This engine removes both: build_fused() inlines every actor's compiled
-// work template, repeated its full repetition count, into ONE flat bytecode
-// trace in single-appearance schedule order, and lowers every fully-internal
-// channel to a flat array ("trace buffer") indexed by cursors whose motion
-// is statically known.  Ring channels survive only at the program boundary
-// (external input/output edges), where the feeder/drainer needs them.
+// work template into ONE bytecode trace in single-appearance schedule order
+// and lowers every fully-internal channel to a flat array ("trace buffer")
+// indexed by cursors whose motion is statically known.  Ring channels
+// survive only at the program boundary (external input/output edges), where
+// the feeder/drainer needs them.  Each actor appears once, its repetitions
+// rolled into a counted loop, so the trace is proportional to the graph
+// (like the paper's single-appearance steady state), not to
+// sum(reps[a] x body).
 //
 // Layout of one iteration's trace, per actor in schedule order:
 //
 //   SetActor a            switch OpCounts attribution + peek window
-//   reps[a] x {
-//     ResetRegs a         reload the actor's register template (exactly the
+//   ResetRegs a           load the actor's register template (exactly the
 //                         per-invocation copy the VM does)
-//     <work template>     the filter's compiled bytecode, registers rebased
+//   L: <work template>    the filter's compiled bytecode, registers rebased
 //                         into one flat register file, Peek/Pop/Push lowered
 //                         to TPeek/TPop/TPush (trace buffer) or RPeek/RPop/
 //                         RPush (boundary ring)
-//   }
+//   Repeat a -> L         run the body reps[a] times: the back edge
+//                         re-templates the registers and resets the peek
+//                         window's pop count (the next firing's ResetRegs),
+//                         the last pass falls through
+//
+// A firing therefore costs the same dispatches as an unrolled copy (Repeat
+// stands in for the next firing's ResetRegs), and an actor with reps[a] == 1
+// has no Repeat at all.  Natives roll the same way around one NativeFire
+// (their Repeat has no registers to re-template).  A splitter/joiner firing
+// that is a single copy-run/dup-run is not looped: its reps[a] identical
+// runs merge into one run of reps[a] x the items.  Any other splitter/joiner
+// firing rolls like a native.  Loops never nest, so the executor needs one
+// counter.
 //
 // Splitters/joiners are synthesized as explicit pop/push templates and
 // native filters as NativeFire calls through tape adapters, so any graph the
@@ -88,6 +102,9 @@ enum class FOp : std::uint8_t {
   // Firing structure.
   SetActor,    // a = actor id: OpCounts attribution + peek window
   ResetRegs,   // a = actor id: reload the actor's register template
+  Repeat,      // a = actor id: close the actor's loop; while fewer than
+               // reps[a] passes ran, jump back to `jump` (sub != 0: first
+               // re-template the registers and reset the pop count)
   // Superinstructions (`a` indexes the matching args table).
   MacLoop,         // mac-loop / sum-loop
   PopComputePush,  // pop-push / pop-bin-push / pop-un-push
@@ -181,17 +198,18 @@ struct FusedProgram {
   std::vector<std::string> scalar_names, array_names;
   std::size_t num_regs{0};
   int eliminated_channels{0};  // internal edges lowered to trace buffers
-  // Static superinstruction selection: trace-instruction instances by stable
-  // name (mac-loop, sum-loop, pop-push, pop-bin-push, pop-un-push, copy-run,
-  // dup-run).  Absent name == 0.
+  // Static superinstruction selection: instances executed per iteration by
+  // stable name (mac-loop, sum-loop, pop-push, pop-bin-push, pop-un-push,
+  // copy-run, dup-run) -- an instance inside an actor's loop counts reps[a]
+  // times.  Absent name == 0.
   std::map<std::string, std::int64_t> super;
 
   [[nodiscard]] std::int64_t super_count(const std::string& name) const {
     const auto it = super.find(name);
     return it == super.end() ? 0 : it->second;
   }
-  // Human-readable trace listing with superinstructions annotated
-  // (streamc --dump-after=fuse-steady).
+  // Human-readable trace listing with superinstructions annotated and each
+  // actor loop closed by "repeat ×N" (streamc --dump-after=fuse-steady).
   [[nodiscard]] std::string disassemble() const;
 };
 

@@ -83,7 +83,16 @@ struct Flow {
   }
 };
 
-// Mutate `s` from the IN state of `I` to its OUT state.
+// An actor's register slice after its template is (re)loaded.
+void reset_tags(const Flow& F, std::uint16_t actor, TagVec& s) {
+  const FusedActorMeta& m = F.in->fused->actors[actor];
+  for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
+    s[m.reg_base + k] = value_tag(m.reg_init[k]);
+  }
+}
+
+// Mutate `s` from the IN state of `I` to its OUT state.  (Repeat's back
+// edge re-templates on the edge itself; see run_flow.)
 void transfer(Flow& F, const FInstr& I, TagVec& s) {
   switch (I.op) {
     case FOp::Move:
@@ -117,13 +126,9 @@ void transfer(Flow& F, const FInstr& I, TagVec& s) {
     case FOp::TPop:
       s[I.dst] = Tag::Double;
       break;
-    case FOp::ResetRegs: {
-      const FusedActorMeta& m = F.in->fused->actors[I.a];
-      for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
-        s[m.reg_base + k] = value_tag(m.reg_init[k]);
-      }
+    case FOp::ResetRegs:
+      reset_tags(F, I.a, s);
       break;
-    }
     case FOp::MacLoop: {
       const MacLoopArgs& M = F.in->fused->macs[I.a];
       // Zero-trip leaves acc/slot untouched, so their OUT tag is the join.
@@ -163,6 +168,7 @@ int successors(const FInstr& I, int pc, int out[2]) {
     case FOp::JmpIfFalse:
     case FOp::JmpIfTrue:
     case FOp::JmpIfGe:
+    case FOp::Repeat:
       out[0] = pc + 1;
       out[1] = I.jump;
       return 2;
@@ -217,7 +223,11 @@ bool run_flow(Flow& F) {
     transfer(F, I, s);
     int succ[2];
     const int ns = successors(I, pc, succ);
-    for (int k = 0; k < ns; ++k) join_into(succ[k], s);
+    for (int k = 0; k < ns; ++k) {
+      // Repeat's back edge (the second successor) starts the next firing.
+      if (k == 1 && I.op == FOp::Repeat && I.sub != 0) reset_tags(F, I.a, s);
+      join_into(succ[k], s);
+    }
     // Fused registers persist across iterations: the trace's exit state
     // feeds the next iteration's entry.
     if (I.op == FOp::Halt && F.in->loop) join_into(0, s);
@@ -448,6 +458,8 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, TyInstr* T) {
     case FOp::Tally:
     case FOp::NativeFire:
     case FOp::Halt:
+    // A re-templating Repeat writes what its loop's ResetRegs wrote.
+    case FOp::Repeat:
       break;
   }
   return true;

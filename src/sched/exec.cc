@@ -146,25 +146,19 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
     } else if (tb_ != nullptr) {
       fused_refusal_ = "tracing-enabled";
     } else {
-      const analysis::FusePlan plan = analysis::fuse_plan(g_, sched_);
-      if (!plan.admissible) {
-        fused_refusal_ = plan.refusal;
-      } else {
-        fprog_ = runtime::build_fused(g_, sched_.order, sched_.reps, plan.carry,
-                                      plan.traffic, &fused_refusal_);
-        if (fprog_) {
-          fused_refusal_.clear();
-          if (typed_on_) {
-            tfprog_ = runtime::build_typed_fused(fprog_, fstate_,
-                                                 &typed_fused_refusal_);
-            if (tfprog_) {
-              tfexec_ = std::make_unique<runtime::TypedFusedExec>(
-                  tfprog_, fstate_, chans_, nstate_);
-              typed_fused_refusal_.clear();
-            }
-          } else {
-            typed_fused_refusal_ = "typed-off";
+      fprog_ = analysis::fuse_steady(g_, sched_, &fused_refusal_);
+      if (fprog_) {
+        fused_refusal_.clear();
+        if (typed_on_) {
+          tfprog_ = runtime::build_typed_fused(fprog_, fstate_,
+                                               &typed_fused_refusal_);
+          if (tfprog_) {
+            tfexec_ = std::make_unique<runtime::TypedFusedExec>(
+                tfprog_, fstate_, chans_, nstate_);
+            typed_fused_refusal_.clear();
           }
+        } else {
+          typed_fused_refusal_ = "typed-off";
         }
       }
     }
@@ -458,6 +452,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   }
   if (tfprog_) {
     m.fused_channels = fprog_->eliminated_channels;
+    m.fused_trace_instrs = static_cast<std::int64_t>(fprog_->code.size());
     m.fused_super.assign(fprog_->super.begin(), fprog_->super.end());
   }
   if (typed_on_) {

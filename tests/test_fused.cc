@@ -11,12 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/apps.h"
 #include "ir/dsl.h"
+#include "opt/compile.h"
 #include "runtime/fused.h"
+#include "runtime/interp.h"
 #include "sched/exec.h"
 
 namespace sit {
@@ -252,6 +256,147 @@ TEST(FusedMetrics, ActiveTraceReportsChannelAndSuperStatics) {
     }
   }
   EXPECT_TRUE(saw_mac);
+}
+
+// ---- rolled trace -----------------------------------------------------------
+//
+// Each actor appears once in the trace, its repetitions rolled into a
+// counted loop (runtime/fused.h), so the trace is proportional to the graph.
+
+// `app` compiled at `level` on one thread (the -O2 preset coarsens only when
+// threaded), run on the typed fused engine.
+sched::Executor make_fused_at(const std::string& app, opt::OptLevel level) {
+  opt::CompileOptions copts;
+  copts.level = level;
+  copts.exec.threads = 1;
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  opts.typed = sched::TypedMode::On;
+  return sched::Executor(opt::compile(apps::make_app(app), copts), opts);
+}
+
+std::map<std::string, std::int64_t> super_of(const runtime::FusedProgram& fp) {
+  return {fp.super.begin(), fp.super.end()};
+}
+
+TEST(FusedRoll, O2TracesAreProportionalToTheGraph) {
+  // Superinstruction counts are instances per iteration, so rolling an
+  // actor's firings into a loop must not change them.
+  const struct {
+    const char* app;
+    std::size_t max_instrs;
+    std::map<std::string, std::int64_t> super;
+  } cases[] = {
+      {"FIR", 64, {}},
+      {"FMRadio", 64, {}},
+      {"ChannelVocoder",
+       10000,
+       {{"copy-run", 7633}, {"dup-run", 1}, {"pop-un-push", 7633}}},
+  };
+  for (const auto& c : cases) {
+    auto ex = make_fused_at(c.app, opt::OptLevel::O2);
+    const runtime::FusedProgram* fp = ex.fused_program();
+    ASSERT_NE(fp, nullptr) << c.app << ": " << ex.fused_refusal();
+    EXPECT_NE(ex.typed_fused_program(), nullptr)
+        << c.app << ": " << ex.typed_fused_refusal();
+    EXPECT_LE(fp->code.size(), c.max_instrs) << c.app;
+    EXPECT_EQ(super_of(*fp), c.super) << c.app;
+  }
+}
+
+TEST(FusedRoll, TypedLoweringCoversEveryFusableAppAtO0AndO2) {
+  for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
+    for (const auto& app : apps::all_apps()) {
+      auto ex = make_fused_at(app.name, level);
+      if (app.name == "DtoA") {
+        EXPECT_EQ(ex.fused_program(), nullptr);
+        EXPECT_EQ(ex.fused_refusal(), "not-single-appearance:noiseshaper.fbjoin");
+        continue;
+      }
+      ASSERT_NE(ex.fused_program(), nullptr)
+          << app.name << ": " << ex.fused_refusal();
+      EXPECT_NE(ex.typed_fused_program(), nullptr)
+          << app.name << ": " << ex.typed_fused_refusal();
+    }
+  }
+}
+
+// src pushes two items per firing, so `overpeek` fires twice per iteration.
+// Its second firing of each iteration peeks past the declared window of 2
+// (peek(1) after one pop).
+sched::CompiledProgram overpeek_program() {
+  auto src = filter("s2")
+                 .rates(0, 0, 2)
+                 .iscalar("seed", 1)
+                 .work(seq({let("seed", v("seed") + ci(1)),
+                            push_(to_float(v("seed"))),
+                            push_(to_float(v("seed")))}))
+                 .node();
+  auto over = filter("overpeek")
+                  .rates(2, 1, 1)
+                  .iscalar("n", 0)
+                  .work(seq({let("t", peek_(ci(0))), discard(1),
+                             if_(v("n") % ci(2) == ci(1),
+                                 let("t", peek_(ci(1)))),
+                             let("n", v("n") + ci(1)), push_(v("t"))}))
+                  .node();
+  // Built without the analysis gate, which would reject the over-peek.
+  sched::CompiledProgram p;
+  p.graph = make_pipeline("p", {src, over, tiny_snk("k")});
+  p.flat = runtime::flatten(p.graph);
+  p.schedule = sched::make_schedule(p.flat);
+  return p;
+}
+
+TEST(FusedRoll, BackEdgeRestartsThePeekWindow) {
+  runtime::set_debug_channel_checks(true);
+  struct Restore {
+    ~Restore() { runtime::set_debug_channel_checks(false); }
+  } restore;
+
+  const auto error_of = [](sched::Engine engine) {
+    sched::ExecOptions opts;
+    opts.engine = engine;
+    opts.typed = sched::TypedMode::On;
+    sched::Executor ex(overpeek_program(), opts);
+    const int over = actor_id(ex.graph(), "overpeek");
+    EXPECT_EQ(ex.schedule().reps[static_cast<std::size_t>(over)], 2);
+    EXPECT_EQ(ex.schedule().init_fires[static_cast<std::size_t>(over)], 0);
+    if (engine == sched::Engine::Fused) {
+      EXPECT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+    }
+    try {
+      ex.run_steady(1);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string want =
+      "peek out of bounds in 'overpeek': peek(1) after 1 pop(s) exceeds the "
+      "declared window of 2";
+  EXPECT_EQ(error_of(sched::Engine::Vm), want);
+  EXPECT_EQ(error_of(sched::Engine::Fused), want);
+}
+
+TEST(FusedRoll, DisassemblyPrintsEachLoop) {
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  sched::Executor ex(overpeek_program(), opts);
+  ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
+  const std::string dis = ex.fused_program()->disassemble();
+  EXPECT_NE(dis.find("repeat ×2 overpeek"), std::string::npos) << dis;
+}
+
+TEST(FusedRoll, MetricsReportTheRolledTraceLength) {
+  auto ex = make_fused_at("ChannelVocoder", opt::OptLevel::O2);
+  ASSERT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+  const obs::MetricsSnapshot m = ex.metrics_snapshot();
+  EXPECT_EQ(m.fused_trace_instrs,
+            static_cast<std::int64_t>(ex.fused_program()->code.size()));
+  EXPECT_NE(m.to_json().find("\"fused_trace_instrs\": " +
+                             std::to_string(m.fused_trace_instrs)),
+            std::string::npos);
 }
 
 // ---- engine selection -------------------------------------------------------

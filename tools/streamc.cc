@@ -45,12 +45,9 @@ namespace {
 std::string fused_trace_dump(const sit::ir::NodeP& g) {
   try {
     const sit::runtime::FlatGraph flat = sit::runtime::flatten(g);
-    const sit::sched::Schedule s = sit::sched::make_schedule(flat);
-    const sit::analysis::FusePlan plan = sit::analysis::fuse_plan(flat, s);
-    if (!plan.admissible) return "refused: " + plan.refusal + "\n";
     std::string reason;
-    const sit::runtime::FusedProgramP prog = sit::runtime::build_fused(
-        flat, s.order, s.reps, plan.carry, plan.traffic, &reason);
+    const sit::runtime::FusedProgramP prog = sit::analysis::fuse_steady(
+        flat, sit::sched::make_schedule(flat), &reason);
     if (!prog) return "refused: " + reason + "\n";
     return prog->disassemble();
   } catch (const std::exception& e) {
@@ -62,16 +59,9 @@ std::string fused_trace_dump(const sit::ir::NodeP& g) {
 // eliminated-channel tally, or the stable refusal reason.
 std::string fused_report(const sit::sched::CompiledProgram& prog) {
   std::string out = "fuse-steady:\n";
-  const sit::analysis::FusePlan plan =
-      sit::analysis::fuse_plan(prog.flat, prog.schedule);
-  if (!plan.admissible) {
-    return out + "  refused: " + plan.refusal + "\n";
-  }
   std::string reason;
   const sit::runtime::FusedProgramP fp =
-      sit::runtime::build_fused(prog.flat, prog.schedule.order,
-                                prog.schedule.reps, plan.carry, plan.traffic,
-                                &reason);
+      sit::analysis::fuse_steady(prog.flat, prog.schedule, &reason);
   if (!fp) return out + "  refused: " + reason + "\n";
   out += "  admissible: " + std::to_string(fp->eliminated_channels) +
          " channel(s) lowered to trace buffers, " +
