@@ -82,6 +82,16 @@ runtime::OpCounts estimate_work(const ir::FilterSpec& spec) {
   return counts;
 }
 
+runtime::OpCounts direct_work(const LinearRep& rep) {
+  // to_filter's multiplies and adds are what cost_flops_per_firing counts;
+  // its channel ops are one peek per nonzero, one push per row and the pop_n.
+  runtime::OpCounts counts;
+  counts.flops = static_cast<std::int64_t>(rep.cost_flops_per_firing());
+  counts.channel =
+      static_cast<std::int64_t>(rep.A.nonzeros()) + rep.push + rep.pop;
+  return counts;
+}
+
 double leaf_flops_per_firing(const ir::Node& leaf) {
   if (leaf.kind == ir::Node::Kind::Filter) {
     return estimate_work(leaf.filter).total_flops();

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "ir/graph.h"
+#include "linear/linear_rep.h"
 #include "runtime/opcounts.h"
 
 namespace sit::linear {
@@ -18,6 +19,13 @@ namespace sit::linear {
 // filter once on synthetic input (all ones).  Falls back to an AST-size
 // heuristic if execution faults (e.g. division by the synthetic data).
 runtime::OpCounts estimate_work(const ir::FilterSpec& spec);
+
+// The OpCounts estimate_work(to_filter(rep, ...)) tallies, counted from the
+// matrix instead of by building and interpreting the filter: per output row
+// one multiply and one peek per nonzero coefficient, one add per term beyond
+// the first (the constant b[o] is a term), and the push; then the final
+// pop_n.  Requires peek >= pop, as every extracted or combined rep has.
+runtime::OpCounts direct_work(const LinearRep& rep);
 
 // Per-firing flop estimate for any leaf node (AST filter or native).
 double leaf_flops_per_firing(const ir::Node& leaf);

@@ -70,6 +70,19 @@ std::size_t best_fft_size(const LinearRep& rep) {
   return best;
 }
 
+FrequencyShape frequency_shape(const LinearRep& rep, std::size_t fft_size) {
+  // Overlap-save: each firing computes `block` original firings' worth of
+  // output from a window of block + peek - 1 items.
+  const int block = static_cast<int>(fft_size) - rep.peek + 1;
+  FrequencyShape s;
+  s.peek = block + rep.peek - 1;
+  s.pop = block;
+  s.push = block * rep.push;
+  s.cost_flops = frequency_cost_per_firing(rep, fft_size) * block;
+  s.cost_ops = s.cost_flops + 2.0 * static_cast<double>(s.pop + s.push);
+  return s;
+}
+
 ir::NodeP make_frequency_filter(const LinearRep& rep, const std::string& name,
                                 std::size_t fft_size) {
   if (!frequency_applicable(rep)) {
@@ -84,18 +97,19 @@ ir::NodeP make_frequency_filter(const LinearRep& rep, const std::string& name,
     throw std::invalid_argument("fft size must exceed the filter window");
   }
   const int k = rep.peek;
-  const int block = static_cast<int>(fft_size) - k + 1;
+  const FrequencyShape shape = frequency_shape(rep, fft_size);
+  const int block = shape.pop;
   const int push = rep.push;
   const std::vector<double> b = rep.b;
 
   ir::NativeFilter nf;
   nf.name = name;
-  nf.peek = block + k - 1;
-  nf.pop = block;
-  nf.push = block * push;
+  nf.peek = shape.peek;
+  nf.pop = shape.pop;
+  nf.push = shape.push;
   nf.stateful = false;
-  nf.cost_flops = frequency_cost_per_firing(rep, fft_size) * block;
-  nf.cost_ops = nf.cost_flops + 2.0 * static_cast<double>(nf.pop + nf.push);
+  nf.cost_flops = shape.cost_flops;
+  nf.cost_ops = shape.cost_ops;
   nf.make_state = [rep, fft_size]() -> std::unique_ptr<ir::NativeState> {
     return std::make_unique<FreqState>(rep, fft_size);
   };

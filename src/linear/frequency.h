@@ -30,6 +30,16 @@ double frequency_cost_per_firing(const LinearRep& rep, std::size_t fft_size);
 // never cheaper than direct).
 std::size_t best_fft_size(const LinearRep& rep);
 
+// Rates and modeled per-firing cost of the native filter
+// make_frequency_filter(rep, name, fft_size) builds, without building it.
+// fft_size must exceed rep.peek.
+struct FrequencyShape {
+  int peek{0}, pop{0}, push{0};
+  double cost_flops{0.0};
+  double cost_ops{0.0};
+};
+FrequencyShape frequency_shape(const LinearRep& rep, std::size_t fft_size);
+
 // Build the native frequency-domain filter node.  fft_size must satisfy
 // fft_size >= 2 and fft_size > peek; pass 0 to use best_fft_size().
 ir::NodeP make_frequency_filter(const LinearRep& rep, const std::string& name,

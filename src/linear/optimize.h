@@ -6,12 +6,16 @@
 // split-joins with all-linear branches are collapse candidates as a whole;
 // every linear candidate is additionally considered in the frequency domain.
 // A candidate is chosen iff it lowers the modeled cost per input item.
+// Candidates are costed without being built: a linear candidate from its
+// LinearRep, a pipeline split by composing its halves' costs.  Only the
+// selected plan is materialized into ir nodes.
 
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "ir/graph.h"
+#include "linear/cost.h"
 #include "linear/linear_rep.h"
 
 namespace sit::linear {
@@ -34,7 +38,7 @@ struct OptimizeOptions {
 // modeled costs that justified it) or refused (`note` says why -- not
 // linear, not combinable, not cheaper).  Candidates selected at one level of
 // the interval DP can still lose to a larger enclosing candidate; the
-// OptimizeStats counters report what survived in the final tree.
+// OptimizeStats counters report what the final plan materialized.
 struct RewriteRecord {
   std::string pass;   // "combine" | "frequency" | "extract"
   std::string site;   // node or interval name, e.g. "pipe[0..3]"
@@ -49,10 +53,15 @@ struct RewriteRecord {
 struct OptimizeStats {
   int total_filters{0};
   int linear_filters{0};
+  // Rewrites this run materialized (nodes an earlier pass created are not
+  // counted again).
   int combinations{0};       // collapse rewrites applied
   int frequency_nodes{0};    // frequency translations applied
-  double cost_before{0.0};   // modeled flops per input item
+  double cost_before{0.0};   // modeled cost per input item
   double cost_after{0.0};
+  // Cost of the selected plan, composed during selection; equal to
+  // node_cost() of the returned graph up to summation order.
+  NodeCost plan_cost;
   // Structured per-candidate decisions (selections and refusals), replacing
   // the historical append-only log string; log() renders them for humans.
   std::vector<RewriteRecord> records;

@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <random>
+#include <string>
+#include <vector>
+
+#include "apps/apps.h"
 
 #include "ir/dsl.h"
 #include "linear/combine.h"
@@ -16,6 +22,7 @@
 #include "linear/frequency.h"
 #include "linear/linear_rep.h"
 #include "linear/optimize.h"
+#include "opt/compile.h"
 #include "sched/exec.h"
 
 namespace sit::linear {
@@ -557,6 +564,164 @@ TEST(Cost, EstimateWorkMemoDoesNotOwnTheAst) {
   const std::weak_ptr<const ir::Stmt> ast = spec.work;
   fir.reset();
   EXPECT_TRUE(ast.expired());
+}
+
+void expect_counts_equal(const runtime::OpCounts& want,
+                         const runtime::OpCounts& got, const std::string& what) {
+  EXPECT_EQ(got.int_ops, want.int_ops) << what;
+  EXPECT_EQ(got.flops, want.flops) << what;
+  EXPECT_EQ(got.divs, want.divs) << what;
+  EXPECT_EQ(got.trans, want.trans) << what;
+  EXPECT_EQ(got.mem, want.mem) << what;
+  EXPECT_EQ(got.channel, want.channel) << what;
+}
+
+// direct_work(rep) counts from the matrix what interpreting the collapsed
+// filter would tally; selection relies on the two being identical.
+void expect_direct_work_exact(const LinearRep& r, const std::string& what) {
+  expect_counts_equal(estimate_work(to_filter(r, "analytic")), direct_work(r),
+                      what);
+}
+
+TEST(Cost, DirectWorkEqualsInterpreterOnRandomReps) {
+  std::mt19937 rng(1501);
+  std::uniform_int_distribution<int> shape(0, 5);
+  std::uniform_real_distribution<double> coeff(-1.5, 1.5);
+  for (int t = 0; t < 200; ++t) {
+    LinearRep r = random_rep(rng, 6, 5);
+    switch (t % 4) {
+      case 0: r.pop = 0; break;  // peeks without consuming
+      case 1: r.pop = std::min(r.pop, 1); break;
+      default: break;            // pop k
+    }
+    r.peek = std::max(r.peek, r.pop);
+    r.A = Matrix(static_cast<std::size_t>(r.push), static_cast<std::size_t>(r.peek));
+    for (int o = 0; o < r.push; ++o) {
+      const int kind = shape(rng);  // 0: all-zero row, else sparse/dense
+      for (int i = 0; i < r.peek && kind != 0; ++i) {
+        if (shape(rng) < kind) {
+          r.A.at(static_cast<std::size_t>(o), static_cast<std::size_t>(i)) = coeff(rng);
+        }
+      }
+      r.b[static_cast<std::size_t>(o)] = shape(rng) < 2 ? coeff(rng) : 0.0;
+    }
+    expect_direct_work_exact(r, "random rep " + std::to_string(t) + "\n" +
+                                    r.describe());
+  }
+}
+
+// Every linear rep the selection DP forms over `node`: each linear leaf,
+// each combinable pipeline interval (folded left to right as the DP does)
+// and each combinable split-join, within the DP's matrix-size guard.
+std::optional<LinearRep> dp_reps(const NodeP& node, std::vector<LinearRep>& out) {
+  const OptimizeOptions opts;
+  auto fits = [&opts](const LinearRep& r) {
+    return static_cast<std::size_t>(r.peek) * static_cast<std::size_t>(r.push) <=
+           opts.max_matrix_entries;
+  };
+  std::optional<LinearRep> rep;
+  switch (node->kind) {
+    case Node::Kind::Filter:
+      rep = extract(node->filter).rep;
+      break;
+    case Node::Kind::Native:
+      break;
+    case Node::Kind::FeedbackLoop:
+      dp_reps(node->children[0], out);
+      dp_reps(node->children[1], out);
+      return std::nullopt;
+    case Node::Kind::Pipeline: {
+      const std::size_t k = node->children.size();
+      std::vector<std::optional<LinearRep>> kids;
+      for (const NodeP& c : node->children) kids.push_back(dp_reps(c, out));
+      std::optional<LinearRep> whole;
+      for (std::size_t i = 0; i < k; ++i) {
+        std::optional<LinearRep> acc = kids[i];
+        for (std::size_t j = i + 1; j < k && acc && kids[j]; ++j) {
+          try {
+            LinearRep r = combine_pipeline(*acc, *kids[j]);
+            acc = fits(r) ? std::optional<LinearRep>(std::move(r)) : std::nullopt;
+          } catch (const std::exception&) {
+            acc.reset();
+          }
+          if (acc) out.push_back(*acc);
+          if (i == 0 && j == k - 1) whole = acc;
+        }
+      }
+      return k == 1 ? kids[0] : whole;
+    }
+    case Node::Kind::SplitJoin: {
+      std::vector<LinearRep> kids;
+      bool all = true;
+      for (const NodeP& c : node->children) {
+        auto r = dp_reps(c, out);
+        if (r) {
+          kids.push_back(*r);
+        } else {
+          all = false;
+        }
+      }
+      if (all && node->split.kind != SJKind::Null &&
+          node->join.kind == SJKind::RoundRobin) {
+        try {
+          LinearRep r = combine_splitjoin(node->split, kids, node->join.weights);
+          if (fits(r)) rep = std::move(r);
+        } catch (const std::exception&) {
+        }
+      }
+      break;
+    }
+  }
+  if (rep) out.push_back(*rep);
+  return rep;
+}
+
+TEST(Cost, DirectWorkEqualsInterpreterOnEveryAppCandidate) {
+  // The graphs the two linear passes see when each app compiles at -O2.
+  std::size_t checked = 0;
+  for (const apps::AppInfo& app : apps::all_apps()) {
+    std::vector<NodeP> inputs;
+    NodeP prev;
+    opt::CompileOptions copts;
+    copts.level = opt::OptLevel::O2;
+    copts.on_pass = [&](const obs::PassSnapshot& s, const NodeP& g) {
+      if (s.name == "linear-combine" || s.name == "frequency") {
+        inputs.push_back(prev);
+      }
+      prev = g;
+    };
+    opt::compile(app.make(), copts);
+    ASSERT_EQ(inputs.size(), 2u) << app.name;
+    for (const NodeP& g : inputs) {
+      std::vector<LinearRep> reps;
+      dp_reps(g, reps);
+      for (const LinearRep& r : reps) {
+        expect_direct_work_exact(r, app.name + ": " +
+                                        std::to_string(r.peek) + "x" +
+                                        std::to_string(r.push));
+      }
+      checked += reps.size();
+    }
+  }
+  EXPECT_GT(checked, 100u);
+}
+
+TEST(Cost, FrequencyShapeMatchesBuiltNative) {
+  std::mt19937 rng(77);
+  for (int t = 0; t < 20; ++t) {
+    LinearRep r = random_rep(rng, 4, 30);
+    r.pop = 1;
+    r.peek = std::max(r.peek, 2);
+    r.A = Matrix(static_cast<std::size_t>(r.push), static_cast<std::size_t>(r.peek));
+    const std::size_t n = 2 * static_cast<std::size_t>(r.peek) + 8;
+    const FrequencyShape f = frequency_shape(r, n);
+    const NodeP built = make_frequency_filter(r, "shape", n);
+    EXPECT_EQ(f.peek, built->native.peek);
+    EXPECT_EQ(f.pop, built->native.pop);
+    EXPECT_EQ(f.push, built->native.push);
+    EXPECT_EQ(f.cost_flops, built->native.cost_flops);
+    EXPECT_EQ(f.cost_ops, built->native.cost_ops);
+  }
 }
 
 }  // namespace

@@ -285,6 +285,27 @@ TEST(Compile, RewriteRecordsAreStructured) {
   EXPECT_TRUE(saw_refusal);  // the stateful source refuses extraction
 }
 
+TEST(Compile, RepeatedLinearPassesAreUnchanged) {
+  // A second linear-combine / frequency run finds nothing new to rewrite.
+  // The `_lin` / `_freq` nodes the first run created must not count as this
+  // run's rewrites: the repeat reports unchanged and returns its input.
+  CompileOptions copts;
+  copts.passes = "validate,linear-combine,linear-combine,frequency,frequency";
+  std::vector<ir::NodeP> outputs;
+  copts.on_pass = [&outputs](const obs::PassSnapshot&, const ir::NodeP& g) {
+    outputs.push_back(g);
+  };
+  PassContext ctx;
+  compile(apps::make_app("FIR"), copts, &ctx);
+  std::vector<bool> changed;
+  for (const obs::PassSnapshot& s : ctx.stats) changed.push_back(s.changed);
+  ASSERT_EQ(ctx.stats.size(), 6u);  // analysis-gate is prepended
+  EXPECT_EQ(changed,
+            (std::vector<bool>{false, false, true, false, true, false}));
+  EXPECT_EQ(outputs[3], outputs[2]);  // second linear-combine: identity
+  EXPECT_EQ(outputs[5], outputs[4]);  // second frequency: identity
+}
+
 // ---- artifact consumption ---------------------------------------------------
 
 std::vector<double> run_executor(sched::Executor& ex, int items) {
