@@ -11,18 +11,16 @@ FusePlan fuse_plan(const runtime::FlatGraph& g, const sched::Schedule& s) {
   FusePlan plan;
 
   // Every AST filter must compile to bytecode (the trace inlines the
-  // compiled template) and must not send teleport messages.  Native filters
-  // are fine: the trace invokes their work function through tape adapters.
+  // compiled template); the compiler refuses teleport senders by name.
+  // Native filters are fine: the trace invokes their work function through
+  // tape adapters.
   for (const auto& a : g.actors) {
     if (a.kind != runtime::FlatActor::Kind::Filter) continue;
     std::string why;
-    const auto prog = runtime::compile_filter(a.node->filter, &why);
-    if (!prog) {
-      plan.refusal = "vm-fallback:" + a.name + " (" + why + ")";
-      return plan;
-    }
-    if (!prog->work.sends.empty() || !prog->init.sends.empty()) {
-      plan.refusal = "teleport-send:" + a.name;
+    if (!runtime::compile_filter(a.node->filter, &why)) {
+      plan.refusal = why == "teleport-send"
+                         ? why + ":" + a.name
+                         : "vm-fallback:" + a.name + " (" + why + ")";
       return plan;
     }
   }

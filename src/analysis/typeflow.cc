@@ -2,7 +2,6 @@
 
 #include <deque>
 
-#include "runtime/compile.h"
 #include "runtime/interp.h"
 
 namespace sit::analysis {
@@ -110,56 +109,36 @@ TypeflowResult typeflow(const FlatGraph& g) {
     ++r.candidates;
 
     const ir::FilterSpec& spec = a.node->filter;
-    std::string reason;
-    auto base = runtime::compile_filter(spec, &reason);
-    if (!base) {
-      t.refusal = "no-bytecode:" + reason;
-      continue;
-    }
     // A fresh, private state: inference needs the post-init tags, exactly as
     // the executors specialize after running init.
-    runtime::FilterState st = runtime::Interp::declare_state(spec);
-    if (base->has_init) {
-      runtime::VmBound vb(base, st);
-      vb.run_init();
-    } else {
-      runtime::Interp::run_init(spec, st);
-    }
-    auto tp = runtime::typed_compile(spec, base, st, &t.refusal);
+    const runtime::FilterState st = runtime::Interp::init_state(spec);
+    auto tp = runtime::typed_compile(spec, st, &t.refusal);
     if (tp) {
+      const runtime::CompiledFilter& base = *tp->base;
       t.specialized = true;
       t.typed_regs = tp->work.typed_regs;
       t.push_tag = tp->work.push_tag;
-      for (std::size_t s = 0; s < base->scalar_slots.size(); ++s) {
-        t.scalar_types.emplace_back(base->scalar_slots[s],
+      for (std::size_t s = 0; s < base.scalar_slots.size(); ++s) {
+        t.scalar_types.emplace_back(base.scalar_slots[s],
                                     runtime::tag_name(tp->work.scalar_class[s]));
       }
-      for (std::size_t s = 0; s < base->array_slots.size(); ++s) {
-        t.array_types.emplace_back(base->array_slots[s],
+      for (std::size_t s = 0; s < base.array_slots.size(); ++s) {
+        t.array_types.emplace_back(base.array_slots[s],
                                    runtime::tag_name(tp->work.array_class[s]));
       }
       ++r.typed_actors;
       r.typed_regs += t.typed_regs;
     } else {
-      // Refused: state classes are still informative where binding worked --
-      // report the bound tags as observed on the initialized state.
-      for (const auto& name : base->scalar_slots) {
-        auto it = st.scalars.find(name);
-        t.scalar_types.emplace_back(
-            name, it != st.scalars.end()
-                      ? runtime::tag_name(runtime::value_tag(it->second))
-                      : "?");
-      }
-      for (const auto& name : base->array_slots) {
-        auto it = st.arrays.find(name);
-        Tag at = Tag::Int;
-        if (it != st.arrays.end() && !it->second.empty()) {
-          at = runtime::value_tag(it->second.front());
-          for (const auto& v : it->second) {
-            at = runtime::join_tag(at, runtime::value_tag(v));
-          }
+      // Refused: state classes are still informative -- report the tags as
+      // observed on the initialized state, in declaration order.
+      for (const auto& d : spec.state) {
+        if (d.is_array) {
+          t.array_types.emplace_back(
+              d.name, runtime::tag_name(runtime::array_tag(st.arrays.at(d.name))));
+        } else {
+          t.scalar_types.emplace_back(
+              d.name, runtime::tag_name(runtime::value_tag(st.scalars.at(d.name))));
         }
-        t.array_types.emplace_back(name, runtime::tag_name(at));
       }
     }
     push[i] = t.push_tag;

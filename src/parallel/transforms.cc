@@ -9,9 +9,8 @@
 
 #include "linear/cost.h"
 #include "linear/extract.h"
-#include "runtime/compile.h"
 #include "runtime/interp.h"
-#include "runtime/vm.h"
+#include "runtime/typed.h"
 #include "sched/exec.h"
 
 namespace sit::parallel {
@@ -154,10 +153,10 @@ class ReplicaState final : public ir::NativeState {
  public:
   runtime::FilterState fst;
   std::unique_ptr<ir::NativeState> nst;
-  // Lazily created per replica instance: the shared compiled program bound
-  // to *this* fst.  Never cloned -- a clone's binding must resolve against
-  // the clone's own state storage.
-  std::unique_ptr<runtime::VmBound> vmb;
+  // Lazily created per replica instance: the shared typed program bound to
+  // *this* fst.  Never cloned -- a clone's binding must resolve against the
+  // clone's own state storage.
+  std::unique_ptr<runtime::TypedBound> tb;
 
   std::unique_ptr<ir::NativeState> clone() const override {
     auto c = std::make_unique<ReplicaState>();
@@ -182,55 +181,73 @@ class OffsetIn final : public ir::InTape {
   int pops_{0};
 };
 
-NodeP make_replica(const NodeP& leaf, int k, int idx) {
-  const int pop = leaf_pop(*leaf);
-  const int peek = leaf_peek(*leaf);
-  const int push = leaf_push(*leaf);
-  const NodeP proto = ir::clone(leaf);
+// What every peeking-fission replica of one leaf shares: a clone of the
+// leaf and, for an AST filter, its post-init state and typed program.  The
+// filter's init runs once, on the tree; every instance starts from a copy of
+// that state, so one typed lowering serves all replicas and each firing then
+// skips the tree walk.  A typed refusal leaves the replicas on the tree.
+struct ReplicaProto {
+  NodeP node;
+  runtime::FilterState init;
+  runtime::TypedFilterP typed;
+};
+
+std::shared_ptr<const ReplicaProto> make_replica_proto(const NodeP& leaf) {
+  auto proto = std::make_shared<ReplicaProto>();
+  proto->node = ir::clone(leaf);
+  if (leaf->kind == Node::Kind::Filter) {
+    proto->init = runtime::Interp::init_state(leaf->filter);
+    if (replicas_run_typed()) {
+      proto->typed = runtime::typed_compile(leaf->filter, proto->init);
+    }
+  }
+  return proto;
+}
+
+NodeP make_replica(const std::shared_ptr<const ReplicaProto>& proto, int k,
+                   int idx) {
+  const Node& leaf = *proto->node;
+  const int pop = leaf_pop(leaf);
+  const int peek = leaf_peek(leaf);
+  const int push = leaf_push(leaf);
 
   ir::NativeFilter nf;
-  nf.name = leaf->name + "_rep" + std::to_string(idx);
+  nf.name = leaf.name + "_rep" + std::to_string(idx);
   nf.pop = k * pop;
   nf.peek = k * pop + (peek - pop);
   nf.push = push;
   nf.stateful = false;
-  nf.cost_ops = linear::leaf_ops_per_firing(*leaf) +
+  nf.cost_ops = linear::leaf_ops_per_firing(leaf) +
                 2.0 * static_cast<double>(k * pop);  // discarding the stride
-  nf.cost_flops = linear::leaf_flops_per_firing(*leaf);
+  nf.cost_flops = linear::leaf_flops_per_firing(leaf);
   nf.make_state = [proto]() -> std::unique_ptr<ir::NativeState> {
     auto st = std::make_unique<ReplicaState>();
-    if (proto->kind == Node::Kind::Filter) {
-      st->fst = runtime::Interp::init_state(proto->filter);
-    } else if (proto->native.make_state) {
-      st->nst = proto->native.make_state();
+    if (proto->node->kind == Node::Kind::Filter) {
+      st->fst = proto->init;
+    } else if (proto->node->native.make_state) {
+      st->nst = proto->node->native.make_state();
     }
     return st;
   };
   const int offset = idx * pop;
   const int stride = k * pop;
-  // Lower the prototype's work function to bytecode once per replica kind;
-  // every firing of every replica instance then skips the tree walk.
-  runtime::CompiledFilterP compiled;
-  if (proto->kind == Node::Kind::Filter &&
-      sched::resolve_engine(sched::Engine::Auto) == sched::Engine::Vm) {
-    compiled = runtime::compile_filter(proto->filter);
-  }
-  nf.work = [proto, compiled, offset, stride](ir::NativeState* state,
-                                              ir::InTape& in, ir::OutTape& out) {
+  nf.work = [proto, offset, stride](ir::NativeState* state, ir::InTape& in,
+                                    ir::OutTape& out) {
     auto* rs = dynamic_cast<ReplicaState*>(state);
     if (rs == nullptr) throw std::logic_error("replica state mismatch");
     OffsetIn shifted(in, offset);
-    if (proto->kind == Node::Kind::Filter) {
-      if (compiled) {
-        if (!rs->vmb) {
-          rs->vmb = std::make_unique<runtime::VmBound>(compiled, rs->fst);
+    const Node& n = *proto->node;
+    if (n.kind == Node::Kind::Filter) {
+      if (proto->typed) {
+        if (!rs->tb) {
+          rs->tb = std::make_unique<runtime::TypedBound>(proto->typed, rs->fst);
         }
-        rs->vmb->run_work(shifted, out, nullptr);
+        rs->tb->run_work(shifted, out, nullptr);
       } else {
-        runtime::Interp::run_work(proto->filter, rs->fst, shifted, out, nullptr);
+        runtime::Interp::run_work(n.filter, rs->fst, shifted, out, nullptr);
       }
     } else {
-      proto->native.work(rs->nst.get(), shifted, out);
+      n.native.work(rs->nst.get(), shifted, out);
     }
     in.pop_many(stride);
   };
@@ -238,6 +255,11 @@ NodeP make_replica(const NodeP& leaf, int k, int idx) {
 }
 
 }  // namespace
+
+bool replicas_run_typed() {
+  return sched::resolve_engine(sched::Engine::Auto) != sched::Engine::Tree &&
+         sched::resolve_typed(sched::TypedMode::Auto);
+}
 
 NodeP fiss(const NodeP& leaf, int k) {
   if (!leaf->is_leaf()) throw std::invalid_argument("fiss expects a leaf");
@@ -271,7 +293,8 @@ NodeP fiss(const NodeP& leaf, int k) {
   }
 
   // Peeking fission: duplicate the stream, decimate per replica.
-  for (int i = 0; i < k; ++i) replicas.push_back(make_replica(leaf, k, i));
+  const auto proto = make_replica_proto(leaf);
+  for (int i = 0; i < k; ++i) replicas.push_back(make_replica(proto, k, i));
   return ir::make_splitjoin(
       leaf->name + "_fissed", ir::duplicate_split(),
       ir::roundrobin_join(std::vector<int>(static_cast<std::size_t>(k), push)),

@@ -37,6 +37,12 @@ ir::NodeP fuse_subtree(const ir::NodeP& node, const std::string& name);
 // Data-parallelize a stateless leaf K ways.  Throws if the leaf is stateful.
 ir::NodeP fiss(const ir::NodeP& leaf, int k);
 
+// Whether peeking-fission replicas of an AST filter run its work function on
+// the per-actor typed VM (else on the tree interpreter): yes unless
+// SIT_ENGINE resolves to tree or SIT_TYPED is off.  fiss reads it when it
+// builds the replicas; a filter typed_compile refuses stays on the tree.
+bool replicas_run_typed();
+
 // Fuse maximal stateless non-peeking regions bottom-up.  Returns a new tree.
 ir::NodeP coarsen_stateless(const ir::NodeP& root);
 

@@ -384,18 +384,8 @@ class FnCompiler {
         }
         break;
       }
-      case Stmt::Kind::Send: {
-        SendSite site;
-        site.portal = s->name;
-        site.method = s->method;
-        site.lat_min = s->latMin;
-        site.lat_max = s->latMax;
-        for (const auto& a : s->args) site.arg_regs.push_back(expr(a).reg);
-        const auto idx = static_cast<std::uint16_t>(prog_.sends.size());
-        prog_.sends.push_back(std::move(site));
-        emit({VmOp::Send, 0, CountTag::None, 0, idx});
-        break;
-      }
+      case Stmt::Kind::Send:
+        bail("teleport-send");
     }
   }
 
@@ -420,20 +410,16 @@ class FnCompiler {
           rebase(I.dst);  // `a` is a state slot
           rebase(I.b);
           break;
-        case VmOp::Send:
         case VmOp::Tally:
         case VmOp::Halt:
         case VmOp::Jmp:
-          break;  // no register operands (`a` of Send is a site index)
+          break;  // no register operands
         default:
           rebase(I.dst);
           rebase(I.a);
           rebase(I.b);
           break;
       }
-    }
-    for (SendSite& s : prog_.sends) {
-      for (std::uint16_t& r : s.arg_regs) rebase(r);
     }
     prog_.reg_init = std::move(persist_init_);
     prog_.reg_init.resize(n_persist + max_temps_);
@@ -472,22 +458,8 @@ CompiledFilterP compile_filter(const ir::FilterSpec& spec, std::string* reason) 
         out->scalar_slots.push_back(d.name);
       }
     }
-    {
-      FnCompiler fc(scalars, arrays);
-      out->work = fc.compile(spec.work);
-    }
-    if (spec.init) {
-      // Init is compiled best-effort: a filter whose init falls outside the
-      // subset still gets the VM for its (hot) work function, and the caller
-      // runs the tree interpreter for init instead.
-      try {
-        FnCompiler fc(scalars, arrays);
-        out->init = fc.compile(spec.init);
-        out->has_init = true;
-      } catch (const Unsupported&) {
-        out->has_init = false;
-      }
-    }
+    FnCompiler fc(scalars, arrays);
+    out->work = fc.compile(spec.work);
     return out;
   } catch (const Unsupported& u) {
     if (reason) *reason = u.reason;
@@ -495,19 +467,18 @@ CompiledFilterP compile_filter(const ir::FilterSpec& spec, std::string* reason) 
   }
 }
 
-TypedFilterP typed_compile(const ir::FilterSpec& spec,
-                           const CompiledFilterP& base,
-                           const FilterState& state, std::string* reason) {
-  if (!base) return nullptr;
+TypedFilterP typed_compile(const ir::FilterSpec& spec, const FilterState& state,
+                           std::string* reason) {
   // Teleport handlers may retag any state slot between firings, which would
-  // invalidate the inferred classes; Send argument marshaling builds Values
-  // from mixed registers.  Both stay on the tagged path.
+  // invalidate the inferred classes; such filters stay on the tree.
   if (!spec.handlers.empty()) {
     if (reason) *reason = "has-handlers";
     return nullptr;
   }
-  if (!base->work.sends.empty()) {
-    if (reason) *reason = "teleport-send";
+  std::string why;
+  const CompiledFilterP base = compile_filter(spec, &why);
+  if (!base) {
+    if (reason) *reason = why == "teleport-send" ? why : "no-bytecode:" + why;
     return nullptr;
   }
 
@@ -545,9 +516,6 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
       case VmOp::ForInc: f.op = FOp::ForInc; break;
       case VmOp::Tally: f.op = FOp::Tally; break;
       case VmOp::Halt: f.op = FOp::Halt; break;
-      case VmOp::Send:
-        if (reason) *reason = "teleport-send";
-        return nullptr;
     }
     code.push_back(f);
   }
@@ -568,10 +536,7 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
   }
   in.array_seed.reserve(base->array_slots.size());
   for (const auto& name : base->array_slots) {
-    const auto& arr = state.arrays.at(name);
-    Tag t = arr.empty() ? Tag::Int : value_tag(arr.front());
-    for (const auto& v : arr) t = join_tag(t, value_tag(v));
-    in.array_seed.push_back(t);
+    in.array_seed.push_back(array_tag(state.arrays.at(name)));
   }
 
   auto out = std::make_shared<TypedFilter>();

@@ -1,5 +1,5 @@
 #pragma once
-// AST -> bytecode compiler for the work-function VM (vm.h).
+// AST -> bytecode compiler for filter work functions (vm.h).
 //
 // Runs once per filter, at executor construction: every scalar, array, and
 // invocation-local name is resolved to an integer slot, constants are pooled
@@ -10,6 +10,7 @@
 // some paths assign, or a loop variable shadowing a state scalar) makes it
 // return nullptr, and the caller falls back to the tree interpreter for that
 // filter -- per-filter, so one exotic filter never slows the whole graph.
+// Init functions are not compiled: they run once, on the tree interpreter.
 
 #include <string>
 
@@ -18,8 +19,10 @@
 
 namespace sit::runtime {
 
-// Compile `spec`'s work and init functions.  Returns nullptr (with `reason`
-// filled, if non-null) when the filter is outside the bytecode subset.
+// Compile `spec`'s work function.  Returns nullptr (with `reason` filled, if
+// non-null) when the filter is outside the bytecode subset.  A work function
+// containing Send is refused with the stable reason "teleport-send": message
+// emission stays on the tree interpreter.
 CompiledFilterP compile_filter(const ir::FilterSpec& spec,
                                std::string* reason = nullptr);
 

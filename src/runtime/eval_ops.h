@@ -1,11 +1,12 @@
 #pragma once
-// Scalar operator kernels shared by the tree interpreter and the bytecode VM.
+// Scalar operator kernels shared by the tree interpreter and the typed engines.
 //
-// Both engines must agree bit-for-bit on StreamIt's Java-like promotion
+// Every engine must agree bit-for-bit on StreamIt's Java-like promotion
 // rules (int op int stays integral, any float operand promotes), so the
-// arithmetic lives here exactly once.  These are pure value functions;
-// operation *counting* stays engine-side because the tree walker and the VM
-// attach costs at different points.
+// arithmetic lives here exactly once: the tagged kernels for the tree's
+// ir::Values, the typed kernels for the dual register planes.  These are
+// pure value functions; operation *counting* stays engine-side because the
+// tree walker and the bytecode attach costs at different points.
 
 #include <algorithm>
 #include <cmath>
@@ -124,7 +125,7 @@ inline ir::Value apply_un(ir::UnOp op, const ir::Value& a) {
 
 // ---- typed (unboxed) kernels ------------------------------------------------
 //
-// The typed register plane (runtime/typed.h) splits the tagged Value file
+// The typed register plane (runtime/typed.h) splits a file of tagged Values
 // into a raw double file and a raw int64 file.  The static typeflow analysis
 // proves which plane every operand lives in at every program point; these
 // kernels execute one binary/unary op against the two planes given that

@@ -104,12 +104,10 @@ class TraceBuilder {
           std::string why;
           compiled_[i] = compile_filter(a.node->filter, &why);
           if (!compiled_[i]) {
-            fail("vm-fallback:" + a.name + " (" + why + ")");
+            fail(why == "teleport-send" ? why + ":" + a.name
+                                        : "vm-fallback:" + a.name + " (" + why + ")");
           }
           const CompiledFilter& cf = *compiled_[i];
-          if (!cf.work.sends.empty() || !cf.init.sends.empty()) {
-            fail("teleport-send:" + a.name);
-          }
           meta.reg_init = cf.work.reg_init;
           meta.peek_window = cf.peek_window;
           for (const auto& s : cf.scalar_slots) prog_->scalar_names.push_back(s);
@@ -301,7 +299,6 @@ class TraceBuilder {
         case VmOp::CheckStep: I.op = FOp::CheckStep; I.a = reg(V.a); break;
         case VmOp::ForInc: I.op = FOp::ForInc; I.dst = reg(V.dst); I.a = reg(V.a); break;
         case VmOp::Tally: I.op = FOp::Tally; break;
-        case VmOp::Send: fail("teleport-send:" + a.name);
         case VmOp::Halt: break;  // unreachable
       }
       t.push_back(I);
@@ -860,9 +857,7 @@ TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
         if (refusal) *refusal = "unbound-state:" + m.name + "." + name;
         return nullptr;
       }
-      Tag t = it->second.empty() ? Tag::Int : value_tag(it->second.front());
-      for (const auto& v : it->second) t = join_tag(t, value_tag(v));
-      in.array_seed[m.array_base + k] = t;
+      in.array_seed[m.array_base + k] = array_tag(it->second);
     }
   }
 
@@ -919,7 +914,7 @@ TypedFusedExec::TypedFusedExec(
     const std::vector<std::unique_ptr<ir::NativeState>>& nstates)
     : prog_(std::move(prog)) {
   const FusedProgram& base = *prog_->base;
-  // Registers start as the tagged engine's do: Value() == int 0 in both
+  // Registers start as the bytecode template's Value() does: int 0 in both
   // planes.  Every actor's ResetRegs re-templates its slice before any read.
   dregs_.assign(base.num_regs, 0.0);
   iregs_.assign(base.num_regs, 0);
@@ -1437,7 +1432,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
             }
           } else {
             // Checked path: per-element checks and counts in exactly the
-            // tagged engine's order, so an error fires at the same element
+            // tree interpreter's order, so an error fires at the same element
             // with the same partial counts.
             for (; i < hi; i += st) {
               if constexpr (kCount) cur->int_ops += 2;

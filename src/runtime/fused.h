@@ -1,8 +1,9 @@
 #pragma once
 // Whole-program fused steady-state trace.
 //
-// The per-actor VM (vm.h) still pays, on every steady-state iteration, one
-// work-function dispatch per firing and a ring-buffer round trip per item.
+// The per-actor typed VM (typed.h) still pays, on every steady-state
+// iteration, one work-function dispatch per firing and a ring-buffer round
+// trip per item.
 // This engine removes both: build_fused() inlines every actor's compiled
 // work template into ONE bytecode trace in single-appearance schedule order
 // and lowers every fully-internal channel to a flat array ("trace buffer")
@@ -57,16 +58,16 @@
 // This file builds the trace; runtime/typed.h executes it.  build_typed_fused
 // lowers it onto the dual-plane register file and TypedFusedExec runs that
 // lowering.  When the lowering refuses (mixed-register, mixed-state, ...),
-// the executor runs the steady state per-actor on the VM instead.
+// the executor runs the steady state per-actor instead.
 //
 // Bit-equality contract: for any admissible program, running the trace
 // produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
-// cumulative push/pop counters identical to the per-actor VM execution.
-// Counting preservation is per-instruction (every lowered/fused op carries
-// the same CountTag arithmetic as the VM dispatch loop); channel-counter
+// cumulative push/pop counters identical to per-actor execution.  Counting
+// preservation is per-instruction (every lowered/fused op carries the same
+// CountTag arithmetic as the per-actor VM's dispatch loop); channel-counter
 // preservation is by bulk advance (each lowered edge's n(t)/p(t) advance by
 // `traffic` once per iteration, which equals the sum of the per-item
-// increments the VM would have made).  Only Channel high-water marks differ
+// increments per-actor execution would have made).  Only Channel high-water marks differ
 // (a lowered channel never observes intermediate occupancy).
 //
 // tests/test_pipeline_diff.cc holds the contract across all apps x all
@@ -219,7 +220,7 @@ using FusedProgramP = std::shared_ptr<const FusedProgram>;
 // the single-appearance schedule; `carry`/`traffic` are the per-edge sizing
 // from analysis::fuse_plan (carry < 0 marks a boundary edge).  Returns
 // nullptr with `reason` filled when some construct cannot be traced (the
-// caller falls back to the per-actor VM).
+// caller falls back to per-actor execution).
 FusedProgramP build_fused(const FlatGraph& g, const std::vector<int>& order,
                           const std::vector<std::int64_t>& reps,
                           const std::vector<std::int64_t>& carry,

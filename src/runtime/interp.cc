@@ -73,7 +73,8 @@ std::vector<Value>& array_of(const std::string& name, Ctx& ctx) {
   return it->second;
 }
 
-// apply_bin / apply_un live in runtime/eval_ops.h, shared with the VM.
+// apply_bin / apply_un live in runtime/eval_ops.h, beside the typed kernels
+// they must agree with.
 
 void count_un(UnOp op, const Value& a, Ctx& ctx) {
   if (!ctx.counts) return;
@@ -268,7 +269,7 @@ void exec(const StmtP& s, Ctx& ctx) {
 void set_debug_channel_checks(bool enabled) { g_debug_channel_checks = enabled; }
 bool debug_channel_checks() { return g_debug_channel_checks; }
 
-FilterState Interp::declare_state(const ir::FilterSpec& spec) {
+FilterState Interp::init_state(const ir::FilterSpec& spec) {
   FilterState st;
   for (const auto& d : spec.state) {
     if (d.is_array) {
@@ -284,20 +285,12 @@ FilterState Interp::declare_state(const ir::FilterSpec& spec) {
       st.scalars[d.name] = v;
     }
   }
-  return st;
-}
-
-void Interp::run_init(const ir::FilterSpec& spec, FilterState& state) {
-  if (!spec.init) return;
-  Ctx ctx;
-  ctx.state = &state;
-  ctx.spec = &spec;
-  exec(spec.init, ctx);
-}
-
-FilterState Interp::init_state(const ir::FilterSpec& spec) {
-  FilterState st = declare_state(spec);
-  run_init(spec, st);
+  if (spec.init) {
+    Ctx ctx;
+    ctx.state = &st;
+    ctx.spec = &spec;
+    exec(spec.init, ctx);
+  }
   return st;
 }
 

@@ -47,13 +47,9 @@ bool debug_channel_checks();
 
 class Interp {
  public:
-  // Declare state variables and run the filter's init function.
+  // Declare state variables and run the filter's init function.  Every
+  // engine builds filter state here: init runs once, on the tree.
   static FilterState init_state(const ir::FilterSpec& spec);
-
-  // The two halves of init_state, exposed separately so the bytecode engine
-  // can declare state here and run a *compiled* init function instead.
-  static FilterState declare_state(const ir::FilterSpec& spec);
-  static void run_init(const ir::FilterSpec& spec, FilterState& state);
 
   // One invocation of work.  `counts` may be null.
   static void run_work(const ir::FilterSpec& spec, FilterState& state,

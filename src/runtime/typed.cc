@@ -323,8 +323,8 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, TyInstr* T) {
       if (ad) T->mode = kModeAD;
       const Tag rt = un_result(static_cast<ir::UnOp>(I.sub),
                                ad ? Tag::Double : Tag::Int);
-      // The tagged loop tallies Un's ByResult on the *operand* tag; for
-      // Neg/Abs (the only ByResult unaries) result tag == operand tag.
+      // The tree interpreter counts Neg/Abs (the only ByResult unaries) by
+      // the *operand* tag; for both, result tag == operand tag.
       if (T->count == CountTag::ByResult) {
         T->count = ad ? CountTag::Flop : CountTag::IntOp;
       }

@@ -1,10 +1,11 @@
 #pragma once
 // Typed dataflow: static tag inference + dual-plane (unboxed) execution.
 //
-// Every register, state slot, and trace-buffer cell in the tagged engines is
-// an ir::Value (variant<int64, double>), so every opcode pays variant
+// Every register, state slot, and channel item the tree interpreter touches
+// is an ir::Value (variant<int64, double>), so every operation pays variant
 // dispatch even though most apps never hold ints in hot registers.  This
-// module removes that cost where a static analysis can prove it safe:
+// module is what the compiled engines execute, and it removes that cost
+// where a static analysis can prove it safe:
 //
 //   * A forward, flow-sensitive dataflow over the (VM or fused) bytecode
 //     assigns every register AT EVERY PROGRAM POINT a lattice tag
@@ -28,17 +29,18 @@
 //
 //   * When some read does observe Mixed, lowering refuses with a stable
 //     reason string -- "mixed-register" / "mixed-state:<name>" (prefixed
-//     with the actor for fused traces) -- and the caller keeps the tagged
-//     path.  Bit-equality between SIT_TYPED=0 and =1 is the contract:
-//     the typed loops reproduce the tagged kernels' promotion, truncating
-//     casts, op counting, and error strings exactly.
+//     with the actor for fused traces) -- and the caller falls back: a
+//     refused fused trace runs per-actor, a refused actor runs on the tree
+//     interpreter.  Bit-equality between SIT_TYPED=0 (everything on the
+//     tree) and =1 is the contract: the typed loops reproduce the tree's
+//     promotion, truncating casts, op counting, and error strings exactly.
 //
 // Consumers: compile.cc::typed_compile specializes one filter's work program
-// (executed by TypedBound, vm.cc); fused.cc::build_typed_fused specializes a
-// whole fused steady-state trace (executed by TypedFusedExec, with the
-// mac-loop superinstruction lowered to a raw double* kernel); and
-// analysis/typeflow.h lifts the per-actor results to a whole-graph view with
-// channel content tags.
+// (executed by TypedBound, vm.cc -- the per-actor typed VM);
+// fused.cc::build_typed_fused specializes a whole fused steady-state trace
+// (executed by TypedFusedExec, with the mac-loop superinstruction lowered to
+// a raw double* kernel); and analysis/typeflow.h lifts the per-actor results
+// to a whole-graph view with channel content tags.
 
 #include <cstdint>
 #include <memory>
@@ -47,6 +49,7 @@
 
 #include "ir/filter.h"
 #include "ir/value.h"
+#include "obs/trace.h"
 #include "runtime/fused.h"
 #include "runtime/interp.h"
 #include "runtime/opcounts.h"
@@ -60,6 +63,12 @@ enum class Tag : std::uint8_t { Int = 0, Double = 1, Mixed = 2 };
 inline Tag join_tag(Tag a, Tag b) { return a == b ? a : Tag::Mixed; }
 inline Tag value_tag(const ir::Value& v) {
   return v.is_int() ? Tag::Int : Tag::Double;
+}
+// The join over an array's elements (Int for an empty array).
+inline Tag array_tag(const std::vector<ir::Value>& arr) {
+  Tag t = arr.empty() ? Tag::Int : value_tag(arr.front());
+  for (const auto& v : arr) t = join_tag(t, value_tag(v));
+  return t;
 }
 const char* tag_name(Tag t);  // "int" | "double" | "mixed"
 
@@ -85,7 +94,7 @@ struct TypedPcp {
   CountTag tag{CountTag::None};
 };
 
-// The result of lowering one tagged instruction stream.  `code` is 1:1 with
+// The result of lowering one bytecode instruction stream.  `code` is 1:1 with
 // the input (same indices, same jump targets); the register template is
 // split across the two planes by tag.
 struct TypedCode {
@@ -127,9 +136,10 @@ bool typed_lower(const TypedLowerInput& in, TypedCode* out,
 // ---- VM layer ---------------------------------------------------------------
 
 // A work function specialized onto the dual register plane.  Produced by
-// typed_compile (compile.cc) from an already-compiled tagged filter; the
-// tagged program stays around as the authoritative fallback (and still runs
-// init, which executes once and is not worth specializing).
+// typed_compile (compile.cc) from the filter's compiled bytecode; `base`
+// supplies the slot names and peek window the binding and the error strings
+// need.  Init is not part of it: init runs once, on the tree interpreter,
+// before specialization (its result seeds the state classes).
 struct TypedFilter {
   CompiledFilterP base;
   TypedCode work;
@@ -137,27 +147,33 @@ struct TypedFilter {
 
 using TypedFilterP = std::shared_ptr<const TypedFilter>;
 
-// Specialize `base`'s work program against the *current* state tags (state
-// must already be initialized; its tags seed the scalar/array classes).
-// Returns null with a stable `reason` when inference refuses:
-//   "has-handlers"      teleport handlers may retag state at any time
-//   "teleport-send"     Send argument marshaling stays on the tagged path
-//   "mixed-register"    some read observes an Int-or-Double register
+// Compile `spec`'s work function (compile.h) and specialize it against the
+// *current* state tags (state must already be initialized; its tags seed
+// the scalar/array classes).  Returns null with a stable `reason` when
+// either step refuses:
+//   "has-handlers"       teleport handlers may retag state at any time
+//   "teleport-send"      the filter sends teleport messages
+//   "no-bytecode:<why>"  the work function is outside the bytecode subset
+//   "mixed-register"     some read observes an Int-or-Double register
 //   "mixed-state:<name>" some state slot is stored with both tags
 TypedFilterP typed_compile(const ir::FilterSpec& spec,
-                           const CompiledFilterP& base,
                            const FilterState& state,
                            std::string* reason = nullptr);
 
-// The typed twin of VmBound: same binding rules, same counting, same error
-// strings, same trace batches -- but registers live in two raw planes and
-// dispatch never touches a variant.  State stays in the FilterState's
-// ir::Values (loads/stores go through the proven class), so the tree
-// interpreter and tagged VM remain freely mixable on the same state.
+// The per-actor typed VM.  Binding resolves state slots to raw pointers into
+// the FilterState's maps once, so firings do no hashing; registers live in
+// two raw planes and dispatch never touches a variant.  State stays in the
+// FilterState's ir::Values (loads/stores go through the proven class), so
+// message handlers run by the tree interpreter mutate the very storage the
+// next firing reads.  The FilterState must outlive the binding, must not be
+// moved, and must not gain or lose entries.
 class TypedBound {
  public:
   TypedBound(TypedFilterP prog, FilterState& state);
 
+  // One invocation of work.  `counts` may be null (counting is skipped
+  // entirely); `trace`, when non-null, receives the firing's measured
+  // channel batches (items popped/pushed) as trace events.
   void run_work(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
                 const obs::FiringTrace* trace = nullptr);
 
@@ -178,7 +194,7 @@ class TypedBound {
 // ---- fused layer ------------------------------------------------------------
 
 // A whole fused steady-state trace specialized onto the dual plane.  The
-// tagged FusedProgram stays authoritative (disassembly, superinstruction
+// untyped FusedProgram stays authoritative (disassembly, superinstruction
 // stats); `code` mirrors it 1:1 and shares its argument tables by index.
 struct TypedFusedProgram {
   FusedProgramP base;
@@ -208,7 +224,7 @@ TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
 // hold exactly its steady-state carry -- e.g. after manual fire() calls left
 // the graph mid-iteration -- or when some state tag no longer matches its
 // inferred class (e.g. a teleport handler retagged a scalar between runs);
-// the caller then runs the iteration per-actor on the VM instead.  For the
+// the caller then runs the iteration per-actor instead.  For the
 // duration of an activation every filter state scalar/array is mirrored into
 // raw plane storage (written back on deactivate), which is what lets the
 // mac-loop run as `for (i) acc += src[i] * coef[i]` over raw double spans.

@@ -11,29 +11,6 @@ using ir::BinOp;
 using ir::UnOp;
 using ir::Value;
 
-VmBound::VmBound(CompiledFilterP prog, FilterState& state)
-    : prog_(std::move(prog)) {
-  scalars_.reserve(prog_->scalar_slots.size());
-  for (const auto& name : prog_->scalar_slots) {
-    auto it = state.scalars.find(name);
-    if (it == state.scalars.end()) {
-      throw std::logic_error("VM bind: state has no scalar '" + name + "'");
-    }
-    scalars_.push_back(&it->second);
-  }
-  arrays_.reserve(prog_->array_slots.size());
-  for (const auto& name : prog_->array_slots) {
-    auto it = state.arrays.find(name);
-    if (it == state.arrays.end()) {
-      throw std::logic_error("VM bind: state has no array '" + name + "'");
-    }
-    arrays_.push_back(&it->second);
-  }
-  std::size_t n = prog_->work.reg_init.size();
-  if (prog_->has_init) n = std::max(n, prog_->init.reg_init.size());
-  regs_.resize(n);
-}
-
 namespace {
 
 [[noreturn]] void peek_bounds_error(const std::string& name, std::int64_t off,
@@ -52,221 +29,14 @@ namespace {
 
 }  // namespace
 
-template <bool kCount>
-void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
-                          ir::OutTape* out, OpCounts* counts,
-                          const MessageSink* sink,
-                          const obs::FiringTrace* trace) {
-  Value* const regs = regs_.data();
-  std::copy(p.reg_init.begin(), p.reg_init.end(), regs);
-  const VmInstr* const code = p.code.data();
-  const bool debug = debug_channel_checks();
-  std::int64_t pops = 0;
-  std::int64_t pushes = 0;
-  std::int32_t pc = 0;
-
-  // Resolved at compile time where the type is static; ByResult tests the
-  // runtime tag, mirroring the tree interpreter's count_bin/count_un.
-  const auto tally = [&](CountTag tag, const Value& r) {
-    if constexpr (kCount) {
-      switch (tag) {
-        case CountTag::None: break;
-        case CountTag::IntOp: ++counts->int_ops; break;
-        case CountTag::Flop: ++counts->flops; break;
-        case CountTag::Div: ++counts->divs; break;
-        case CountTag::Trans: ++counts->trans; break;
-        case CountTag::Mem: ++counts->mem; break;
-        case CountTag::Channel: ++counts->channel; break;
-        case CountTag::ByResult:
-          r.is_int() ? ++counts->int_ops : ++counts->flops;
-          break;
-      }
-    } else {
-      (void)tag;
-      (void)r;
-    }
-  };
-
-  for (;;) {
-    const VmInstr& I = code[pc];
-    switch (I.op) {
-      case VmOp::Move:
-        regs[I.dst] = regs[I.a];
-        ++pc;
-        break;
-      case VmOp::LoadScalar:
-        if constexpr (kCount) ++counts->mem;
-        regs[I.dst] = *scalars_[I.a];
-        ++pc;
-        break;
-      case VmOp::StoreScalar:
-        if constexpr (kCount) ++counts->mem;
-        *scalars_[I.a] = regs[I.dst];
-        ++pc;
-        break;
-      case VmOp::LoadElem: {
-        const std::int64_t idx = regs[I.b].as_int();
-        const auto& arr = *arrays_[I.a];
-        if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-          elem_bounds_error("array index out of bounds",
-                            prog_->array_slots[I.a], idx);
-        }
-        if constexpr (kCount) ++counts->mem;
-        regs[I.dst] = arr[static_cast<std::size_t>(idx)];
-        ++pc;
-        break;
-      }
-      case VmOp::StoreElem: {
-        const std::int64_t idx = regs[I.b].as_int();
-        auto& arr = *arrays_[I.a];
-        if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-          elem_bounds_error("array store out of bounds",
-                            prog_->array_slots[I.a], idx);
-        }
-        if constexpr (kCount) ++counts->mem;
-        arr[static_cast<std::size_t>(idx)] = regs[I.dst];
-        ++pc;
-        break;
-      }
-      case VmOp::Peek: {
-        if (!in) throw std::runtime_error("peek outside work function");
-        const std::int64_t off = regs[I.a].as_int();
-        if (debug) {
-          if (off < 0 || pops + off >= prog_->peek_window) {
-            peek_bounds_error(prog_->name, off, pops, prog_->peek_window);
-          }
-        }
-        if constexpr (kCount) ++counts->channel;
-        regs[I.dst] = Value(in->peek_item(static_cast<int>(off)));
-        ++pc;
-        break;
-      }
-      case VmOp::Pop:
-        if (!in) throw std::runtime_error("pop outside work function");
-        if constexpr (kCount) ++counts->channel;
-        ++pops;
-        regs[I.dst] = Value(in->pop_item());
-        ++pc;
-        break;
-      case VmOp::PopN: {
-        if (!in) throw std::runtime_error("pop outside work function");
-        const std::int64_t n = regs[I.a].as_int();
-        if (n > 0) {
-          if constexpr (kCount) counts->channel += n;
-          pops += n;
-          in->pop_many(static_cast<int>(n));
-        }
-        ++pc;
-        break;
-      }
-      case VmOp::Push:
-        if (!out) throw std::runtime_error("push outside work function");
-        if constexpr (kCount) ++counts->channel;
-        ++pushes;
-        out->push_item(regs[I.dst].as_double());
-        ++pc;
-        break;
-      case VmOp::Bin: {
-        const Value r =
-            apply_bin(static_cast<BinOp>(I.sub), regs[I.a], regs[I.b]);
-        tally(I.count, r);
-        regs[I.dst] = r;
-        ++pc;
-        break;
-      }
-      case VmOp::Un: {
-        // Neg/Abs count by *operand* type in the tree interpreter; operand
-        // and result tags coincide for both, so ByResult on the input is
-        // equivalent.
-        tally(I.count, regs[I.a]);
-        regs[I.dst] = apply_un(static_cast<UnOp>(I.sub), regs[I.a]);
-        ++pc;
-        break;
-      }
-      case VmOp::Truthy:
-        regs[I.dst] = Value(regs[I.a].truthy());
-        ++pc;
-        break;
-      case VmOp::Jmp:
-        pc = I.jump;
-        break;
-      case VmOp::JmpIfFalse:
-        pc = regs[I.a].truthy() ? pc + 1 : I.jump;
-        break;
-      case VmOp::JmpIfTrue:
-        pc = regs[I.a].truthy() ? I.jump : pc + 1;
-        break;
-      case VmOp::JmpIfGe:
-        pc = regs[I.a].as_int() >= regs[I.b].as_int() ? I.jump : pc + 1;
-        break;
-      case VmOp::CheckStep:
-        if (regs[I.a].as_int() <= 0) {
-          throw std::runtime_error("for loop step must be positive");
-        }
-        ++pc;
-        break;
-      case VmOp::ForInc:
-        regs[I.dst] = Value(regs[I.dst].as_int() + regs[I.a].as_int());
-        ++pc;
-        break;
-      case VmOp::Tally:
-        if constexpr (kCount) counts->int_ops += I.sub;
-        ++pc;
-        break;
-      case VmOp::Send: {
-        if (sink && *sink) {
-          const SendSite& s = p.sends[I.a];
-          SentMessage m;
-          m.portal = s.portal;
-          m.method = s.method;
-          m.lat_min = s.lat_min;
-          m.lat_max = s.lat_max;
-          m.args.reserve(s.arg_regs.size());
-          for (const std::uint16_t r : s.arg_regs) m.args.push_back(regs[r]);
-          (*sink)(m);
-        }
-        ++pc;
-        break;
-      }
-      case VmOp::Halt:
-        // Dispatch-loop channel attribution: the measured (not declared)
-        // traffic of this firing, reported before the loop exits.
-        if (trace != nullptr && trace->tb != nullptr) {
-          const std::int64_t ts = trace->rec->now_ns();
-          if (pops > 0) {
-            trace->tb->emit(ts, obs::EventKind::PopBatch, trace->in_edge, pops);
-          }
-          if (pushes > 0) {
-            trace->tb->emit(ts, obs::EventKind::PushBatch, trace->out_edge,
-                            pushes);
-          }
-        }
-        return;
-    }
-  }
-}
-
-void VmBound::run_work(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                       const MessageSink* sink, const obs::FiringTrace* trace) {
-  if (counts) {
-    run_program<true>(prog_->work, &in, &out, counts, sink, trace);
-  } else {
-    run_program<false>(prog_->work, &in, &out, nullptr, sink, trace);
-  }
-}
-
-void VmBound::run_init() {
-  if (!prog_->has_init) return;
-  run_program<false>(prog_->init, nullptr, nullptr, nullptr, nullptr, nullptr);
-}
-
 // ---- typed (dual-plane) dispatch --------------------------------------------
 //
-// TypedBound mirrors VmBound instruction for instruction: identical op
-// counting, identical debug peek checks, identical error strings, identical
-// trace batches.  The differences are exactly the ones typeflow proved safe:
-// registers live in two raw planes (no variant), CountTag::ByResult is
-// pre-resolved, and state loads/stores go through the slot's inferred class.
+// TypedBound runs a filter's bytecode instruction for instruction with the
+// tree interpreter's op counting, debug peek checks and error strings, and
+// reports each firing's measured channel batches as trace events.  What
+// typeflow proved safe is what makes it fast: registers live in two raw
+// planes (no variant), CountTag::ByResult is pre-resolved, and state
+// loads/stores go through the slot's inferred class.
 
 TypedBound::TypedBound(TypedFilterP prog, FilterState& state)
     : prog_(std::move(prog)) {
@@ -487,25 +257,6 @@ void TypedBound::run_work(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
   }
 }
 
-FilterState Vm::init_state(const ir::FilterSpec& spec,
-                           const CompiledFilter& prog) {
-  FilterState st = Interp::declare_state(spec);
-  if (prog.has_init) {
-    VmBound bound(std::make_shared<const CompiledFilter>(prog), st);
-    bound.run_init();
-  } else {
-    Interp::run_init(spec, st);
-  }
-  return st;
-}
-
-void Vm::run_work(const CompiledFilterP& prog, FilterState& state,
-                  ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                  const MessageSink* sink) {
-  VmBound bound(prog, state);
-  bound.run_work(in, out, counts, sink);
-}
-
 // ---- disassembly ------------------------------------------------------------
 
 namespace {
@@ -531,7 +282,6 @@ const char* op_name(VmOp op) {
     case VmOp::CheckStep: return "chkstep";
     case VmOp::ForInc: return "forinc";
     case VmOp::Tally: return "tally";
-    case VmOp::Send: return "send";
     case VmOp::Halt: return "halt";
   }
   return "?";

@@ -1,15 +1,17 @@
 #pragma once
-// Bytecode work-function engine.
+// Work-function bytecode: the lowered form every compiled engine starts from.
 //
 // The tree interpreter (interp.h) re-resolves every variable name through an
-// unordered_map and chases shared_ptr AST nodes on every firing.  This engine
-// removes that steady-state overhead: compile.h lowers a filter's work/init
-// ASTs *once* to a flat register bytecode (every scalar, array, and local
-// resolved to an integer slot; constants pooled and preloaded; peek/pop/push
-// as dedicated opcodes), and the dispatch loop below executes it with zero
-// string hashing per firing.  Semantics are bit-identical to the tree
-// interpreter by construction -- both engines share the scalar kernels in
-// eval_ops.h, and tests/test_vm.cc holds them equal differentially.
+// unordered_map and chases shared_ptr AST nodes on every firing.  compile.h
+// lowers a filter's work AST *once* to the flat register bytecode below
+// (every scalar, array, and local resolved to an integer slot; constants
+// pooled and preloaded; peek/pop/push as dedicated opcodes).  The bytecode is
+// not executed as-is: typed_compile (typed.h) specializes it onto the
+// dual-plane register file run by TypedBound (vm.cc) -- the per-actor typed
+// VM -- and build_fused (fused.h) inlines it into the whole-program steady
+// trace.  A filter the bytecode or the typed lowering refuses runs on the
+// tree interpreter, which stays the reference semantics; tests/test_vm.cc
+// holds the engines bit-equal differentially.
 //
 // Register file layout (per program): [locals | pooled constants | loop
 // bookkeeping | expression temporaries].  The template `reg_init` is copied
@@ -17,20 +19,16 @@
 //
 // Operation counting: every instruction carries a CountTag resolved at
 // compile time (mem, channel, div, ...), so tallying is a single add; only
-// ops whose int/float classification depends on runtime value tags
-// (Add/Sub/Mul/Min/Max/Neg/Abs) carry ByResult and test one tag bit.  A
-// null OpCounts selects a dispatch loop with counting compiled out.
+// ops whose int/float classification depends on value tags
+// (Add/Sub/Mul/Min/Max/Neg/Abs) carry ByResult, which typed lowering
+// resolves statically.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "ir/filter.h"
 #include "ir/value.h"
-#include "obs/trace.h"
-#include "runtime/interp.h"
-#include "runtime/opcounts.h"
 
 namespace sit::runtime {
 
@@ -54,7 +52,6 @@ enum class VmOp : std::uint8_t {
   CheckStep,    // throw unless r[a].as_int() > 0   (for-loop step guard)
   ForInc,       // r[dst] = int(r[dst] + r[a])      (loop induction, no count)
   Tally,        // counts->int_ops += sub           (If/Cond/LAnd/LOr/For costs)
-  Send,         // emit SendSite a with args from its recorded registers
   Halt,
 };
 
@@ -73,18 +70,9 @@ struct VmInstr {
   std::int32_t jump{-1};
 };
 
-// One Send statement: the message skeleton plus the registers its
-// already-evaluated arguments live in.
-struct SendSite {
-  std::string portal, method;
-  int lat_min{0}, lat_max{0};
-  std::vector<std::uint16_t> arg_regs;
-};
-
 struct CompiledProgram {
   std::vector<VmInstr> code;
   std::vector<ir::Value> reg_init;  // register template: locals zeroed, consts pooled
-  std::vector<SendSite> sends;
 };
 
 struct CompiledFilter {
@@ -93,63 +81,9 @@ struct CompiledFilter {
   std::vector<std::string> scalar_slots;  // slot -> state scalar name
   std::vector<std::string> array_slots;   // slot -> state array name
   CompiledProgram work;
-  bool has_init{false};
-  CompiledProgram init;
 };
 
 using CompiledFilterP = std::shared_ptr<const CompiledFilter>;
-
-// A compiled filter bound to one FilterState's storage.  Binding resolves
-// state slots to raw pointers into the state's maps once, so firings do no
-// hashing at all.  The tree interpreter and message handlers mutate the very
-// same storage, which keeps the engines freely mixable on one state (a
-// handler delivered between VM firings is visible to the next firing).
-//
-// The FilterState must outlive the binding, must not be moved, and must not
-// gain or lose entries -- all true for states made by Interp::declare_state
-// and then only mutated through either engine.
-class VmBound {
- public:
-  VmBound(CompiledFilterP prog, FilterState& state);
-
-  // One invocation of work.  `counts` may be null (counting is skipped
-  // entirely); `sink` receives Send messages as in the tree interpreter.
-  // `trace`, when non-null, makes the dispatch loop report the firing's
-  // measured channel batches (items popped/pushed) as trace events.
-  void run_work(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                const MessageSink* sink = nullptr,
-                const obs::FiringTrace* trace = nullptr);
-
-  // Run the compiled init function (no tapes; init may not touch channels).
-  void run_init();
-
-  [[nodiscard]] const CompiledFilter& program() const { return *prog_; }
-
- private:
-  template <bool kCount>
-  void run_program(const CompiledProgram& p, ir::InTape* in, ir::OutTape* out,
-                   OpCounts* counts, const MessageSink* sink,
-                   const obs::FiringTrace* trace);
-
-  CompiledFilterP prog_;
-  std::vector<ir::Value*> scalars_;              // slot -> &state.scalars[name]
-  std::vector<std::vector<ir::Value>*> arrays_;  // slot -> &state.arrays[name]
-  std::vector<ir::Value> regs_;                  // scratch register file
-};
-
-class Vm {
- public:
-  // Declare state variables and run the *compiled* init function; the
-  // bytecode twin of Interp::init_state.
-  static FilterState init_state(const ir::FilterSpec& spec,
-                                const CompiledFilter& prog);
-
-  // One-shot work invocation (binds on each call; prefer a persistent
-  // VmBound on hot paths).
-  static void run_work(const CompiledFilterP& prog, FilterState& state,
-                       ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                       const MessageSink* sink = nullptr);
-};
 
 // Human-readable disassembly, for debugging and the bytecode docs.
 std::string disassemble(const CompiledProgram& p);

@@ -33,7 +33,7 @@ int env_batch() {
 
 bool env_typed() {
   // "1" and "auto" mean the same thing today: specialize wherever the
-  // typeflow analysis proves it safe, tagged fallback elsewhere.  Only an
+  // typeflow analysis proves it safe, tree fallback elsewhere.  Only an
   // explicit 0/"off" disables the typed paths entirely.
   const char* env = std::getenv("SIT_TYPED");
   if (env == nullptr) return true;

@@ -5,15 +5,17 @@
 //
 //   SIT_ENGINE    "vm" | "tree" | "fused"  work-function engine (default vm;
 //                                        fused = whole-program steady-state
-//                                        trace, per-actor VM when refused)
+//                                        trace, per-actor typed VM / tree
+//                                        when refused)
 //   SIT_THREADS   integer >= 1           ThreadedExecutor workers (default 1)
 //   SIT_BATCH     integer >= 1 | "auto"  steady iterations per pipeline step
 //                                        (default auto: sized from per-edge
 //                                        traffic + measured cost, clamped to
 //                                        the static max_batch)
 //   SIT_TYPED     0 | 1 | "auto"         typed (unboxed dual-plane) value
-//                                        specialization: 0 = always tagged,
-//                                        1/auto = specialize registers,
+//                                        specialization: 0 = every actor on
+//                                        the tree interpreter, 1/auto =
+//                                        specialize registers,
 //                                        trace buffers, and channels where
 //                                        the typeflow analysis proves it
 //                                        safe (default auto; 1 and auto are

@@ -7,7 +7,6 @@
 #include "analysis/bounds_chan.h"
 #include "analysis/fuse.h"
 #include "analysis/typeflow.h"
-#include "runtime/compile.h"
 #include "sched/envopts.h"
 
 namespace sit::sched {
@@ -94,7 +93,6 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   const std::size_t n = g_.actors.size();
   fstate_.resize(n);
   nstate_.resize(n);
-  vmf_.resize(n);
   tbf_.resize(n);
   typed_refusal_.resize(n);
   ops_.resize(n);
@@ -103,32 +101,18 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
     const FlatActor& a = g_.actors[i];
     if (a.kind == FlatActor::Kind::Filter) {
       const ir::FilterSpec& spec = a.node->filter;
-      if (engine_ == Engine::Vm || engine_ == Engine::Fused) {
-        // One-time lowering to bytecode; per-filter fallback to the tree
-        // interpreter for anything outside the compiled subset.
-        if (auto prog = runtime::compile_filter(spec)) {
-          fstate_[i] = Interp::declare_state(spec);
-          vmf_[i] = std::make_unique<runtime::VmBound>(prog, fstate_[i]);
-          if (prog->has_init) {
-            vmf_[i]->run_init();
-          } else {
-            Interp::run_init(spec, fstate_[i]);
-          }
-          // Typed specialization on top of the bytecode: inference runs
-          // against the post-init state tags; a refusal records its stable
-          // reason and the actor stays on the tagged VM.
-          if (typed_on_) {
-            if (auto tp = runtime::typed_compile(spec, prog, fstate_[i],
-                                                 &typed_refusal_[i])) {
-              tbf_[i] = std::make_unique<runtime::TypedBound>(std::move(tp),
-                                                              fstate_[i]);
-              typed_refusal_[i].clear();
-            }
-          }
-          continue;
+      fstate_[i] = Interp::init_state(spec);
+      // The per-actor typed VM: one-time lowering to bytecode, specialized
+      // against the post-init state tags.  A refusal records its stable
+      // reason and the actor runs on the tree interpreter.
+      if (typed_on_ && engine_ != Engine::Tree) {
+        if (auto tp = runtime::typed_compile(spec, fstate_[i],
+                                             &typed_refusal_[i])) {
+          tbf_[i] = std::make_unique<runtime::TypedBound>(std::move(tp),
+                                                          fstate_[i]);
+          typed_refusal_[i].clear();
         }
       }
-      fstate_[i] = Interp::init_state(spec);
     } else if (a.kind == FlatActor::Kind::Native) {
       if (a.node->native.make_state) nstate_[i] = a.node->native.make_state();
     }
@@ -136,7 +120,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
 
   // Engine::Fused: compile the whole-iteration trace and its typed lowering,
   // or record why not.  Refusal of either is whole-program: steady states
-  // then run per-actor on the VM bindings built above (the Vm path and the
+  // then run per-actor on the bindings built above (the Vm path and the
   // Fused fallback are identical).
   if (engine_ == Engine::Fused) {
     if (opts_.message_sink) {
@@ -228,7 +212,7 @@ void Executor::fire(int actor, runtime::OpCounts* counts,
   };
 
   // Tracing: one branch when disabled; two clock reads plus a handful of
-  // buffer appends per firing when enabled.  VM-backed filters report their
+  // buffer appends per firing when enabled.  Typed-VM filters report their
   // channel batches from inside the dispatch loop (measured); everything
   // else reports the static SDF rates below.
   std::int64_t t0 = 0;
@@ -242,11 +226,7 @@ void Executor::fire(int actor, runtime::OpCounts* counts,
     case FlatActor::Kind::Filter: {
       ir::InTape& in = in_tape(0);
       ir::OutTape& out = out_tape(0);
-      const runtime::MessageSink* sink =
-          opts_.message_sink ? &opts_.message_sink : nullptr;
       if (tbf_[ai]) {
-        // Typed filters have no Send statements (typed_compile refuses
-        // them), so the sink is irrelevant on this path.
         if (tb != nullptr) {
           obs::FiringTrace tr{tb, rec_.get(),
                               a.in_edges.empty() ? -1 : a.in_edges[0],
@@ -256,17 +236,11 @@ void Executor::fire(int actor, runtime::OpCounts* counts,
         } else {
           tbf_[ai]->run_work(in, out, counts);
         }
-      } else if (vmf_[ai]) {
-        if (tb != nullptr) {
-          obs::FiringTrace tr{tb, rec_.get(),
-                              a.in_edges.empty() ? -1 : a.in_edges[0],
-                              a.out_edges.empty() ? -1 : a.out_edges[0]};
-          vmf_[ai]->run_work(in, out, counts, sink, &tr);
-          vm_traced = true;
-        } else {
-          vmf_[ai]->run_work(in, out, counts, sink);
-        }
       } else {
+        // Teleport senders always land here (compile_filter refuses Send),
+        // so this is the only path that needs the message sink.
+        const runtime::MessageSink* sink =
+            opts_.message_sink ? &opts_.message_sink : nullptr;
         Interp::run_work(a.node->filter, fstate_[ai], in, out, counts, sink);
       }
       break;

@@ -24,7 +24,6 @@
 #include "runtime/fused.h"
 #include "runtime/interp.h"
 #include "runtime/typed.h"
-#include "runtime/vm.h"
 #include "sched/program.h"
 #include "sched/schedule.h"
 
@@ -52,12 +51,13 @@ enum class TraceMode { Auto, Off, On };
 // compiled out (cmake -DSIT_OBS=OFF).
 bool resolve_trace(TraceMode mode);
 
-// Typed (unboxed dual-plane) value specialization: Off keeps every actor on
-// the tagged engines; On and Auto both specialize wherever the typeflow
-// analysis (runtime/typed.h) proves it safe, with tagged fallback per actor
-// where it refuses.  Engine::Fused needs it: its trace only runs typed, so
-// with typed off (or the trace refused) steady states run per-actor.  Auto
-// consults SIT_TYPED (default on).
+// Typed (unboxed dual-plane) value specialization, which is what the compiled
+// engines execute: On and Auto both run each actor on the typed VM wherever
+// the typeflow analysis (runtime/typed.h) proves it safe, with per-actor
+// fallback to the tree interpreter where it refuses.  Off runs every actor
+// on the tree interpreter under Engine::Vm and Engine::Fused alike (the
+// fused trace only runs typed, so its steady states then go per-actor).
+// Auto consults SIT_TYPED (default on).
 enum class TypedMode { Auto, Off, On };
 
 // Resolve Auto against SIT_TYPED (other values pass through).
@@ -132,24 +132,21 @@ class Executor {
   void fire(int actor);
 
   // Invoke a teleport-message handler on an AST filter actor.  Handlers run
-  // through the tree interpreter; both engines share the actor's
-  // FilterState storage, so a handler delivered between VM firings is
-  // visible to the next firing.
+  // through the tree interpreter against the actor's FilterState, so a
+  // handler delivered between firings is visible to the next firing.
+  // (Filters with handlers never run typed: typed_compile refuses them.)
   void run_handler(int actor, const std::string& method,
                    const std::vector<ir::Value>& args);
 
-  // The engine actually driving this graph (Auto already resolved), and
-  // whether a given AST filter actor runs on compiled bytecode.
+  // The engine actually driving this graph (Auto already resolved).
   [[nodiscard]] Engine engine() const { return engine_; }
-  [[nodiscard]] bool actor_uses_vm(int actor) const {
-    return vmf_[static_cast<std::size_t>(actor)] != nullptr;
-  }
 
-  // Typed specialization introspection.  typed_enabled() reports the
-  // resolved SIT_TYPED decision; actor_uses_typed() whether a given actor's
-  // work runs on the dual-plane register file; typed_refusal() the stable
-  // reason it does not ("" when it does, or when the actor was never a
-  // candidate -- non-filter, tree fallback, or typed mode off).
+  // Typed VM introspection.  typed_enabled() reports the resolved SIT_TYPED
+  // decision; actor_uses_typed() whether a given actor's work runs on the
+  // per-actor typed VM (otherwise it runs on the tree interpreter);
+  // typed_refusal() the stable reason it does not ("" when it does, or when
+  // the actor was never a candidate -- non-filter, Engine::Tree, or typed
+  // mode off).
   [[nodiscard]] bool typed_enabled() const { return typed_on_; }
   [[nodiscard]] bool actor_uses_typed(int actor) const {
     return tbf_[static_cast<std::size_t>(actor)] != nullptr;
@@ -157,7 +154,7 @@ class Executor {
   [[nodiscard]] const std::string& typed_refusal(int actor) const {
     return typed_refusal_[static_cast<std::size_t>(actor)];
   }
-  // The specialized work program for one actor (null when tagged), and the
+  // The specialized work program for one actor (null on the tree), and the
   // whole-trace typed fused program (Engine::Fused; null when the lowering
   // refused, with typed_fused_refusal() carrying the stable reason -- steady
   // states then run per-actor).
@@ -175,7 +172,7 @@ class Executor {
   // Fused engine introspection (Engine::Fused only).  fused_program() is the
   // whole-iteration trace run_steady executes through its typed lowering, or
   // null when fusion was refused -- in which case fused_refusal() carries the
-  // stable reason (analysis/fuse.h) and steady states run per-actor on the VM
+  // stable reason (analysis/fuse.h) and steady states run per-actor
   // instead.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
     return fprog_ ? fprog_.get() : nullptr;
@@ -240,13 +237,11 @@ class Executor {
   std::vector<ir::InTape*> in_tapes_;
   std::vector<ir::OutTape*> out_tapes_;
   std::vector<runtime::FilterState> fstate_;
-  // Per-actor compiled work functions bound to fstate_ storage; null where
-  // the actor is not an AST filter or its work fell back to the tree
-  // interpreter.  fstate_ entries must therefore never be reseated.
-  std::vector<std::unique_ptr<runtime::VmBound>> vmf_;
   std::vector<std::unique_ptr<ir::NativeState>> nstate_;
-  // Typed specialization (SIT_TYPED): per-actor dual-plane bindings, taking
-  // precedence over vmf_ when present, plus the per-actor refusal reasons.
+  // The per-actor typed VM (SIT_TYPED): dual-plane bindings to fstate_
+  // storage, null where the actor is not an AST filter or runs on the tree
+  // interpreter (fstate_ entries must therefore never be reseated), plus
+  // the per-actor refusal reasons.
   bool typed_on_{false};
   std::vector<std::unique_ptr<runtime::TypedBound>> tbf_;
   std::vector<std::string> typed_refusal_;

@@ -26,14 +26,15 @@
 namespace sit::sched {
 
 // Which work-function engine drives AST filters.  Vm compiles each filter's
-// work/init to bytecode once and falls back to the tree interpreter
-// *per filter* for anything outside the bytecode subset; Tree forces the
-// tree interpreter everywhere.  Fused additionally compiles one whole
+// work function to bytecode once and runs it on the per-actor typed VM
+// (runtime/typed.h), falling back to the tree interpreter *per filter* where
+// the bytecode compiler or typeflow refuses; Tree forces the tree
+// interpreter everywhere.  Fused additionally compiles one whole
 // steady-state iteration into a single flat bytecode trace with
 // superinstructions (runtime/fused.h) and runs it on the typed dual-plane
-// register file (runtime/typed.h) when the program is admissible
-// (analysis/fuse.h) and typeflow accepts the whole trace, falling back to
-// per-actor VM execution -- whole-program, not per-filter -- when not.  Auto
+// register file when the program is admissible (analysis/fuse.h) and
+// typeflow accepts the whole trace, falling back to Vm's per-actor execution
+// -- whole-program, not per-filter -- when not.  Auto
 // resolves from the SIT_ENGINE environment variable ("tree", "vm", or
 // "fused"), defaulting to Vm -- which lets CI run the whole test suite under
 // any engine without code changes.

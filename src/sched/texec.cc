@@ -204,7 +204,7 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts) {
   report_.fallback = fb;
   report_.fallback_reason = detail;
   // The workers fire per actor: a fused trace would only cost set-up time
-  // and memory, so Engine::Fused runs on the VM here.
+  // and memory, so Engine::Fused runs on the per-actor VM here.
   if (fb == FallbackReason::None &&
       resolve_engine(opts.engine != Engine::Auto ? opts.engine
                                                  : prog.engine) ==

@@ -54,7 +54,7 @@
 //     smaller pairs, so some actor can always proceed.
 //
 // Engines: the workers fire per actor, so a requested Engine::Fused builds
-// the Executor on the VM instead (its whole-program trace is inherently
+// the Executor on the per-actor VM instead (its whole-program trace is inherently
 // single-threaded and would only cost set-up time and memory).
 //
 // Determinism: every actor's state, tally, and every channel's FIFO content

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <random>
+#include <string>
 
 #include "ir/dsl.h"
 #include "machine/machine.h"
@@ -149,6 +153,73 @@ TEST(Fiss, PeekingFissionUsesDuplication) {
   ASSERT_EQ(fissed->kind, Node::Kind::SplitJoin);
   EXPECT_EQ(fissed->split.kind, SJKind::Duplicate);
   expect_same_stream(leaf, fissed, 48);
+}
+
+// Sets (or, for nullptr, unsets) one environment variable for a scope and
+// restores its previous value on exit.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) old_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~EnvGuard() {
+    if (had_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  const char* name_;
+  bool had_{false};
+  std::string old_;
+};
+
+// Peeking-fission replicas pick their engine from the environment when fiss
+// builds them: typed unless SIT_ENGINE is tree (SIT_ENGINE=fused once sent
+// every replica to the tree interpreter).  Whatever they run on, the fissed
+// stream must be bit-equal to the unfissed filter's.
+TEST(Fiss, PeekingReplicasRunTypedUnlessEngineIsTree) {
+  auto fir5 = filter("fir5")
+                  .rates(5, 1, 1)
+                  .array_init("h", {Value{0.1}, Value{-0.25}, Value{0.5},
+                                    Value{0.75}, Value{0.125}})
+                  .work(seq({let("acc", c(0.0)),
+                             for_("i", 0, 5,
+                                  let("acc", v("acc") + peek_(v("i")) *
+                                                            at("h", v("i")))),
+                             push_(v("acc")), discard(1)}))
+                  .node();
+  ASSERT_FALSE(leaf_stateful(*fir5));
+  const EnvGuard typed("SIT_TYPED", nullptr);
+  for (const char* engine : {static_cast<const char*>(nullptr), "fused", "tree"}) {
+    const std::string label = engine != nullptr ? engine : "unset";
+    SCOPED_TRACE("SIT_ENGINE=" + label);
+    const EnvGuard env("SIT_ENGINE", engine);
+    EXPECT_EQ(replicas_run_typed(), label != "tree");
+    const auto want = run_graph(fir5, 60);
+    for (const int k : {2, 3}) {
+      auto fissed = fiss(fir5, k);
+      ASSERT_EQ(fissed->split.kind, SJKind::Duplicate);
+      const auto got = run_graph(fissed, 60);
+      ASSERT_EQ(want.size(), got.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+                  std::bit_cast<std::uint64_t>(got[i]))
+            << "k=" << k << " item " << i << ": " << want[i] << " vs " << got[i];
+      }
+    }
+  }
 }
 
 TEST(Fiss, StatefulRejected) {

@@ -1,12 +1,15 @@
-// Differential tests: the bytecode VM must be observationally identical to
-// the tree interpreter.  Every built-in application and a population of
-// randomized work functions run under both engines; outputs, filter state,
-// operation counts, cumulative channel counters, and sent messages are held
-// bit-equal.  Also covers the ring-buffer channel itself and the per-filter
-// fallback path for filters outside the compiled subset.
+// Differential tests: the per-actor typed VM must be observationally
+// identical to the tree interpreter.  Every built-in application and a
+// population of randomized work functions run under both engines; outputs,
+// filter state, operation counts, cumulative channel counters, and sent
+// messages are held bit-equal.  Also covers the ring-buffer channel itself
+// and the per-filter tree fallback for filters the bytecode compiler or the
+// typed lowering refuses (teleport senders, handlers, out-of-subset work).
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "runtime/channel.h"
 #include "runtime/compile.h"
 #include "runtime/interp.h"
+#include "runtime/typed.h"
 #include "runtime/vm.h"
 #include "sched/exec.h"
 
@@ -138,19 +142,20 @@ TEST(VmDifferential, AllAppsMatchTreeInterpreter) {
 }
 
 // The point of the engine: the hot filters of the evaluation apps must
-// actually run on bytecode, not silently fall back.
+// actually run on the typed VM, not silently fall back.
 TEST(VmDifferential, EvaluationAppFiltersCompile) {
   for (const std::string name : {"FIR", "Vocoder", "FMRadio", "FilterBank"}) {
     SCOPED_TRACE(name);
     sched::ExecOptions opt;
     opt.engine = sched::Engine::Vm;
+    opt.typed = sched::TypedMode::On;
     sched::Executor ex(apps::make_app(name), opt);
     int compiled = 0, filters = 0;
     const auto& g = ex.graph();
     for (std::size_t a = 0; a < g.actors.size(); ++a) {
       if (g.actors[a].kind != runtime::FlatActor::Kind::Filter) continue;
       ++filters;
-      if (ex.actor_uses_vm(static_cast<int>(a))) ++compiled;
+      if (ex.actor_uses_typed(static_cast<int>(a))) ++compiled;
     }
     ASSERT_GT(filters, 0);
     EXPECT_EQ(compiled, filters) << name << ": some filters fell back";
@@ -166,7 +171,12 @@ TEST(VmDifferential, EvaluationAppFiltersCompile) {
 // fair game.  Fixed seeds keep failures reproducible.
 class AstGen {
  public:
-  explicit AstGen(std::uint32_t seed) : g_(seed) {}
+  // `typed_stores` casts every value stored to state to the slot's declared
+  // type (ks int, fs and arr double) and every local and ?: arm to double,
+  // the way a statically typed source language would; without it, values
+  // keep their own tags.
+  AstGen(std::uint32_t seed, bool typed_stores)
+      : g_(seed), typed_stores_(typed_stores) {}
 
   ir::FilterSpec make_spec(int idx) {
     const int peekw = 3, popn = 2, pushn = 2;
@@ -222,8 +232,10 @@ class AstGen {
                                              ir::UnOp::ToFloat};
         return ir::un(u[static_cast<std::size_t>(irange(0, 6))], rand_expr(depth - 1));
       }
-      case 8: return ir::cond(rand_expr(depth - 1), rand_expr(depth - 1),
-                              rand_expr(depth - 1));
+      case 8:
+        return ir::cond(rand_expr(depth - 1),
+                        stored(rand_expr(depth - 1), false),
+                        stored(rand_expr(depth - 1), false));
       default: return ir::bin(ir::BinOp::Add, rand_expr(depth - 1),
                               rand_expr(depth - 1));
     }
@@ -233,13 +245,17 @@ class AstGen {
     switch (irange(0, depth > 0 ? 5 : 3)) {
       case 0: {
         const std::string name = "t" + std::to_string(locals_.size());
-        auto s = ir::assign(name, rand_expr(2));
+        auto s = ir::assign(name, stored(rand_expr(2), false));
         locals_.push_back(name);
         return s;
       }
-      case 1: return ir::assign(irange(0, 1) ? "fs" : "ks", rand_expr(2));
+      case 1: {
+        const bool to_fs = irange(0, 1) != 0;
+        return ir::assign(to_fs ? "fs" : "ks", stored(rand_expr(2), !to_fs));
+      }
       case 2:
-        return ir::array_assign("arr", ir::iconst(irange(0, 3)), rand_expr(2));
+        return ir::array_assign("arr", ir::iconst(irange(0, 3)),
+                                stored(rand_expr(2), false));
       case 3:
         // Loop over the state array; loop bounds are part of the compiled
         // subset's happy path, the body mutates state each iteration.
@@ -266,14 +282,23 @@ class AstGen {
     }
   }
 
+  ir::ExprP stored(ir::ExprP e, bool to_int) const {
+    if (!typed_stores_) return e;
+    return ir::un(to_int ? ir::UnOp::ToInt : ir::UnOp::ToFloat, std::move(e));
+  }
+
   std::mt19937 g_;
+  bool typed_stores_;
   std::vector<std::string> locals_;
 };
 
 TEST(VmDifferential, RandomizedWorkFunctions) {
-  int compiled = 0;
-  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
-    AstGen gen(seed * 7919);
+  // Seeds 1..40 store values with their own tags, which typeflow mostly
+  // refuses (those pin the compiler and the tree fallback); seeds 41..80
+  // store typed values, the shape the typed lowering exists for.
+  int compiled = 0, typed = 0;
+  for (std::uint32_t seed = 1; seed <= 80; ++seed) {
+    AstGen gen(seed * 7919, seed > 40);
     const ir::FilterSpec spec = gen.make_spec(static_cast<int>(seed));
     SCOPED_TRACE("seed " + std::to_string(seed));
 
@@ -283,8 +308,15 @@ TEST(VmDifferential, RandomizedWorkFunctions) {
     ++compiled;
 
     FilterState tst = Interp::init_state(spec);
-    FilterState vst = runtime::Vm::init_state(spec, *prog);
-    expect_same_state(tst, vst, spec.name + " init");
+    FilterState vst = Interp::init_state(spec);
+    // Where typeflow refuses (e.g. an int scalar stored with a double), the
+    // executors run the filter on the tree: compare tree against tree.
+    auto tp = runtime::typed_compile(spec, vst, &reason);
+    std::unique_ptr<runtime::TypedBound> bound;
+    if (tp) {
+      ++typed;
+      bound = std::make_unique<runtime::TypedBound>(tp, vst);
+    }
 
     Channel tin, vin, tout, vout;
     std::mt19937 feed(seed);
@@ -296,10 +328,13 @@ TEST(VmDifferential, RandomizedWorkFunctions) {
     }
 
     OpCounts tc, vc;
-    runtime::VmBound bound(prog, vst);
     for (int fire = 0; fire < 20; ++fire) {
       Interp::run_work(spec, tst, tin, tout, &tc);
-      bound.run_work(vin, vout, &vc);
+      if (bound) {
+        bound->run_work(vin, vout, &vc);
+      } else {
+        Interp::run_work(spec, vst, vin, vout, &vc);
+      }
     }
     expect_same_counts(tc, vc, spec.name);
     expect_same_state(tst, vst, spec.name + " final");
@@ -310,42 +345,57 @@ TEST(VmDifferential, RandomizedWorkFunctions) {
     EXPECT_EQ(tin.total_popped(), vin.total_popped());
   }
   // The generator stays inside the compiled subset by construction; if the
-  // compiler starts rejecting most of them, the subset regressed.
-  EXPECT_GE(compiled, 30);
+  // compiler starts rejecting most of them, the subset regressed.  Typed
+  // lowering must accept a substantial share too, or this differential
+  // degenerates into comparing the tree with itself.
+  std::printf("[ randomized ] %d/80 compiled, %d typed\n", compiled, typed);
+  EXPECT_GE(compiled, 60);
+  EXPECT_GE(typed, 30);
 }
 
 // ---- engine parity corner cases ---------------------------------------------
 
-// Messages: Send arguments, latency bounds, and ordering must match, and the
-// VM must skip SentMessage construction without a sink (not observable here,
-// but the sink path is).
+// Messages: a teleport sender is outside the bytecode subset by name, so
+// under Engine::Vm it runs on the tree and its messages (arguments, latency
+// bounds, ordering) must match Engine::Tree's bit for bit.
 TEST(VmDifferential, SendMessagesMatch) {
-  auto spec = filter("sender")
-                  .rates(1, 1, 1)
-                  .iscalar("n", 0)
-                  .work({let("x", pop_()),
-                         ir::send("portal", "setGain", {(v("x") * c(2.0)).e,
-                                                        v("n").e}, 1, 3),
-                         let("n", v("n") + 1), push_(v("x"))})
-                  .build();
-  auto prog = runtime::compile_filter(spec);
-  ASSERT_NE(prog, nullptr);
+  const auto sender = [] {
+    return filter("sender")
+        .rates(1, 1, 1)
+        .iscalar("n", 0)
+        .work({let("x", pop_()),
+               ir::send("portal", "setGain", {(v("x") * c(2.0)).e, v("n").e},
+                        1, 3),
+               let("n", v("n") + 1), push_(v("x"))});
+  };
+  std::string reason;
+  EXPECT_EQ(runtime::compile_filter(sender().build(), &reason), nullptr);
+  EXPECT_EQ(reason, "teleport-send");
 
+  const auto run = [&](sched::Engine engine, std::vector<SentMessage>* msgs) {
+    auto src = filter("src").rates(0, 0, 1).scalar("t", Value{0.25})
+                   .work({let("t", v("t") + c(1.0)), push_(v("t"))}).node();
+    auto snk = filter("snk").rates(1, 1, 0).scalar("sum", Value{0.0})
+                   .work({let("sum", v("sum") + pop_())}).node();
+    sched::ExecOptions opt;
+    opt.engine = engine;
+    opt.typed = sched::TypedMode::On;
+    opt.message_sink = [msgs](const SentMessage& m) { msgs->push_back(m); };
+    sched::Executor ex(ir::make_pipeline("p", {src, sender().node(), snk}), opt);
+    const auto& g = ex.graph();
+    for (std::size_t a = 0; a < g.actors.size(); ++a) {
+      if (g.actors[a].name.find("sender") == std::string::npos) continue;
+      EXPECT_FALSE(ex.actor_uses_typed(static_cast<int>(a)));
+      if (engine == sched::Engine::Vm) {
+        EXPECT_EQ(ex.typed_refusal(static_cast<int>(a)), "teleport-send");
+      }
+    }
+    ex.run_steady(5);
+  };
   std::vector<SentMessage> tmsg, vmsg;
-  runtime::MessageSink tsink = [&](const SentMessage& m) { tmsg.push_back(m); };
-  runtime::MessageSink vsink = [&](const SentMessage& m) { vmsg.push_back(m); };
-
-  FilterState tst = Interp::init_state(spec);
-  FilterState vst = runtime::Vm::init_state(spec, *prog);
-  Channel tin, vin, tout, vout;
-  for (int i = 0; i < 5; ++i) {
-    tin.push_item(i + 0.25);
-    vin.push_item(i + 0.25);
-  }
-  for (int i = 0; i < 5; ++i) {
-    Interp::run_work(spec, tst, tin, tout, nullptr, &tsink);
-    runtime::Vm::run_work(prog, vst, vin, vout, nullptr, &vsink);
-  }
+  run(sched::Engine::Tree, &tmsg);
+  run(sched::Engine::Vm, &vmsg);
+  ASSERT_FALSE(tmsg.empty());
   ASSERT_EQ(tmsg.size(), vmsg.size());
   for (std::size_t i = 0; i < tmsg.size(); ++i) {
     EXPECT_EQ(tmsg[i].portal, vmsg[i].portal);
@@ -359,28 +409,38 @@ TEST(VmDifferential, SendMessagesMatch) {
   }
 }
 
-// A handler delivered between VM firings mutates the same storage the
-// bytecode reads: the next firing must see the new state.
+// A handler filter is refused by typed lowering (a handler may retag state
+// between firings) and runs on the tree; a handler delivered between
+// firings mutates the state the next firing reads.
 TEST(VmDifferential, HandlerStateSharedWithVm) {
-  auto spec = filter("gainer")
-                  .rates(1, 1, 1)
-                  .scalar("gain", Value{1.0})
-                  .work({push_(pop_() * v("gain"))})
-                  .handler("setGain", {"g"}, let("gain", v("g")))
-                  .build();
-  auto prog = runtime::compile_filter(spec);
-  ASSERT_NE(prog, nullptr);
+  auto src = filter("src").rates(0, 0, 1).work({push_(c(2.0))}).node();
+  auto gainer = filter("gainer")
+                    .rates(1, 1, 1)
+                    .scalar("gain", Value{1.0})
+                    .work({push_(pop_() * v("gain"))})
+                    .handler("setGain", {"g"}, let("gain", v("g")))
+                    .node();
+  sched::ExecOptions opt;
+  opt.engine = sched::Engine::Vm;
+  opt.typed = sched::TypedMode::On;
+  sched::Executor ex(ir::make_pipeline("p", {src, gainer}), opt);
+  int g = -1;
+  for (std::size_t a = 0; a < ex.graph().actors.size(); ++a) {
+    if (ex.graph().actors[a].name.find("gainer") != std::string::npos) {
+      g = static_cast<int>(a);
+    }
+  }
+  ASSERT_GE(g, 0);
+  EXPECT_FALSE(ex.actor_uses_typed(g));
+  EXPECT_EQ(ex.typed_refusal(g), "has-handlers");
 
-  FilterState st = runtime::Vm::init_state(spec, *prog);
-  runtime::VmBound bound(prog, st);
-  Channel in, out;
-  in.push_item(2.0);
-  in.push_item(2.0);
-  bound.run_work(in, out, nullptr);
-  EXPECT_EQ(out.pop_item(), 2.0);
-  Interp::run_handler(spec, st, "setGain", {Value{10.0}});
-  bound.run_work(in, out, nullptr);
-  EXPECT_EQ(out.pop_item(), 20.0);
+  std::vector<double> out = ex.run_steady(1);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], 2.0);
+  ex.run_handler(g, "setGain", {Value{10.0}});
+  out = ex.run_steady(1);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], 20.0);
 }
 
 // Out-of-subset work functions (here: a read of a possibly-unassigned
@@ -408,13 +468,16 @@ TEST(VmDifferential, FallbackForUncompilableFilter) {
   };
   sched::ExecOptions vopt;
   vopt.engine = sched::Engine::Vm;
+  vopt.typed = sched::TypedMode::On;
   sched::Executor vm(make(), vopt);
   const auto& g = vm.graph();
   bool found = false;
   for (std::size_t a = 0; a < g.actors.size(); ++a) {
     if (g.actors[a].name.find("partial") == std::string::npos) continue;
     found = true;
-    EXPECT_FALSE(vm.actor_uses_vm(static_cast<int>(a)));
+    EXPECT_FALSE(vm.actor_uses_typed(static_cast<int>(a)));
+    EXPECT_EQ(vm.typed_refusal(static_cast<int>(a)).rfind("no-bytecode:", 0), 0u)
+        << vm.typed_refusal(static_cast<int>(a));
   }
   ASSERT_TRUE(found);
 
@@ -430,17 +493,14 @@ TEST(VmDifferential, FallbackForUncompilableFilter) {
   }
 }
 
-// Debug-mode channel checking must fire identically under the VM, with the
-// same diagnostic.
+// Debug-mode channel checking must fire identically under the typed VM, with
+// the same diagnostic.
 TEST(VmDifferential, DebugChannelChecksUnderVm) {
   // peek(5) with a declared window of max(2, 1) = 2.
   auto spec = filter("overpeek")
                   .rates(2, 1, 1)
                   .work({push_(peek_(5)), discard(1)})
                   .build();
-  auto prog = runtime::compile_filter(spec);
-  ASSERT_NE(prog, nullptr);
-
   runtime::set_debug_channel_checks(true);
   struct Restore {
     ~Restore() { runtime::set_debug_channel_checks(false); }
@@ -452,7 +512,10 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
     vin.push_item(i);
   }
   FilterState tst = Interp::init_state(spec);
-  FilterState vst = runtime::Vm::init_state(spec, *prog);
+  FilterState vst = Interp::init_state(spec);
+  auto tp = runtime::typed_compile(spec, vst);
+  ASSERT_NE(tp, nullptr);
+  runtime::TypedBound bound(tp, vst);
   std::string terr, verr;
   try {
     Interp::run_work(spec, tst, tin, tout, nullptr);
@@ -460,7 +523,7 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
     terr = e.what();
   }
   try {
-    runtime::Vm::run_work(prog, vst, vin, vout, nullptr);
+    bound.run_work(vin, vout, nullptr);
   } catch (const std::runtime_error& e) {
     verr = e.what();
   }
@@ -468,23 +531,26 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
   EXPECT_EQ(terr, verr);
 }
 
-// Init functions compile too: a loop-initialized array must come out
-// identical from both init paths.
+// Init runs once, on the tree interpreter, under every engine: right after
+// construction each filter's state must equal Interp::init_state exactly
+// (tags included -- they seed the typed state classes).
 TEST(VmDifferential, CompiledInitMatchesTree) {
-  auto spec = filter("initful")
-                  .rates(0, 0, 1)
-                  .array("w", 8)
-                  .iscalar("n", 0)
-                  .init(for_("i", 0, 8,
-                             set_at("w", v("i"), sin_(v("i") * c(0.3)) + v("i"))))
-                  .work({let("n", v("n") + 1), push_(at("w", v("n") % 8))})
-                  .build();
-  auto prog = runtime::compile_filter(spec);
-  ASSERT_NE(prog, nullptr);
-  EXPECT_TRUE(prog->has_init);
-  FilterState tst = Interp::init_state(spec);
-  FilterState vst = runtime::Vm::init_state(spec, *prog);
-  expect_same_state(tst, vst, "initful");
+  for (const auto& info : apps::all_apps()) {
+    SCOPED_TRACE(info.name);
+    for (const auto engine : {sched::Engine::Vm, sched::Engine::Fused}) {
+      sched::ExecOptions opt;
+      opt.engine = engine;
+      opt.typed = sched::TypedMode::On;
+      sched::Executor ex(info.make(), opt);
+      const auto& g = ex.graph();
+      for (std::size_t a = 0; a < g.actors.size(); ++a) {
+        if (g.actors[a].kind != runtime::FlatActor::Kind::Filter) continue;
+        expect_same_state(Interp::init_state(g.actors[a].node->filter),
+                          ex.filter_state(static_cast<int>(a)),
+                          info.name + "/" + g.actors[a].name);
+      }
+    }
+  }
 }
 
 // Disassembly is for humans; just pin that it mentions the channel ops so
