@@ -35,9 +35,9 @@
 // Every run, smoke or not, fails when any row's items_per_sec is not a
 // finite positive rate.
 //
-// --gate reads a threshold from a checked-in file (bench/fused_gate.txt):
-// the minimum typed/tree throughput ratio on FIR.  Exit is nonzero when it
-// regresses.  The gate self-skips (exit 0, with a notice) on
+// --gate reads two floors from a checked-in file (bench/fused_gate.txt):
+// the minimum typed/tree and vm/tree throughput ratios on FIR.  Exit is
+// nonzero when either regresses.  The gate self-skips (exit 0, with a notice) on
 // sanitizer builds -- instrumentation swamps dispatch cost -- and on
 // single-cpu hosts where timer noise dominates.
 
@@ -265,15 +265,20 @@ double handwritten_rate(Kernel&& kernel, std::int64_t units, std::int64_t items_
 
 // The first number in the file (comments stripped): the typed/vm floor.
 // Returns -1 when the file is unreadable or holds no number.
-double read_threshold(const std::string& path) {
+// The floor for `key` ("typed/tree", "vm/tree"): the number after the key
+// on its line, comments (#...) stripped; -1 when the file has no such line.
+double read_threshold(const std::string& path, const std::string& key) {
   std::ifstream f(path);
   std::string line;
   while (std::getline(f, line)) {
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
+    const std::size_t at = line.find_first_not_of(" \t");
+    if (at == std::string::npos || line.compare(at, key.size(), key) != 0) continue;
+    const char* num = line.c_str() + at + key.size();
     char* end = nullptr;
-    const double v = std::strtod(line.c_str(), &end);
-    if (end != line.c_str()) return v;
+    const double v = std::strtod(num, &end);
+    if (end != num) return v;
   }
   return -1.0;
 }
@@ -333,7 +338,8 @@ int main(int argc, char** argv) {
   std::vector<sit::bench::BenchRecord> records;
   sit::obs::MetricsSnapshot metrics;
   bool have_metrics = false;
-  double fir_typed_over_tree = -1.0;
+  // FIR throughput of each engine over the tree's (the gated ratios).
+  double fir_over_tree[kEngines] = {-1.0, -1.0, -1.0};
 
   std::printf("%-12s %-12s %14s %8s %8s\n", "app", "engine", "items/s",
               "vs-vm", "vs-hand");
@@ -390,9 +396,8 @@ int main(int argc, char** argv) {
         rec.metrics.emplace_back("typed_channels", typed_channels);
       }
       records.push_back(std::move(rec));
-      if (std::strcmp(b.name, "FIR") == 0 &&
-          std::strcmp(engines[e].name, "typed") == 0 && rates[0] > 0) {
-        fir_typed_over_tree = rates[e] / rates[0];
+      if (std::strcmp(b.name, "FIR") == 0 && rates[0] > 0) {
+        fir_over_tree[e] = rates[e] / rates[0];
       }
     }
     sit::bench::rule(60);
@@ -429,17 +434,22 @@ int main(int argc, char** argv) {
       std::printf("gate: skipped -- single-cpu host, timer noise dominates\n");
       return 0;
     }
-    const double threshold = read_threshold(gate_file);
-    if (threshold <= 0.0) {
-      std::fprintf(stderr, "gate: unreadable threshold file %s\n",
-                   gate_file.c_str());
-      return 2;
+    bool pass = true;
+    for (int e = 1; e < kEngines; ++e) {
+      const std::string key = std::string(engines[e].name) + "/tree";
+      const double threshold = read_threshold(gate_file, key);
+      if (threshold <= 0.0) {
+        std::fprintf(stderr, "gate: no %s floor in %s\n", key.c_str(),
+                     gate_file.c_str());
+        return 2;
+      }
+      const bool ok = fir_over_tree[e] >= threshold;
+      std::printf("gate: FIR %s = %.2f (>= %.2f) %s\n", key.c_str(),
+                  fir_over_tree[e], threshold, ok ? "ok" : "FAIL");
+      pass = pass && ok;
     }
-    const bool pass = fir_typed_over_tree >= threshold;
-    std::printf("gate: FIR typed/tree = %.2f (>= %.2f) %s\n",
-                fir_typed_over_tree, threshold, pass ? "ok" : "FAIL");
     if (!pass) {
-      std::fprintf(stderr, "gate: fused engine regressed below %s\n",
+      std::fprintf(stderr, "gate: an engine regressed below %s\n",
                    gate_file.c_str());
       return 1;
     }

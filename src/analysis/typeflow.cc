@@ -118,6 +118,9 @@ TypeflowResult typeflow(const FlatGraph& g) {
       t.specialized = true;
       t.typed_regs = tp->work.typed_regs;
       t.push_tag = tp->work.push_tag;
+      for (const runtime::MacLoopArgs& m : tp->macs) {
+        ++(m.has_array ? t.mac_loops : t.sum_loops);
+      }
       for (std::size_t s = 0; s < base.scalar_slots.size(); ++s) {
         t.scalar_types.emplace_back(base.scalar_slots[s],
                                     runtime::tag_name(tp->work.scalar_class[s]));
@@ -128,6 +131,7 @@ TypeflowResult typeflow(const FlatGraph& g) {
       }
       ++r.typed_actors;
       r.typed_regs += t.typed_regs;
+      r.mac_loops += t.mac_loops + t.sum_loops;
     } else {
       // Refused: state classes are still informative -- report the tags as
       // observed on the initialized state, in declaration order.
@@ -161,13 +165,17 @@ std::string TypeflowResult::describe(const FlatGraph& g) const {
          std::to_string(candidates) + " filter(s) specialized, " +
          std::to_string(typed_regs) + " double register(s), " +
          std::to_string(typed_channels) + " double-content channel(s), " +
-         std::to_string(int_channels) + " int-content channel(s)\n";
+         std::to_string(int_channels) + " int-content channel(s), " +
+         std::to_string(mac_loops) + " per-actor mac/sum-loop(s)\n";
   for (const ActorTypeflow& a : actors) {
     if (!a.is_filter) continue;
     out += "  " + a.name + ": ";
     if (a.specialized) {
       out += "typed (" + std::to_string(a.typed_regs) + " double reg(s), push " +
-             runtime::tag_name(a.push_tag) + ")";
+             runtime::tag_name(a.push_tag);
+      if (a.mac_loops > 0) out += ", " + std::to_string(a.mac_loops) + " mac-loop(s)";
+      if (a.sum_loops > 0) out += ", " + std::to_string(a.sum_loops) + " sum-loop(s)";
+      out += ")";
     } else {
       out += "tagged (" + a.refusal + ")";
     }

@@ -36,6 +36,8 @@ struct ActorTypeflow {
   std::string refusal;      // stable reason when not (empty if specialized or
                             // not a candidate)
   int typed_regs{0};        // registers proven Double everywhere
+  int mac_loops{0};         // mac-loop / sum-loop superinstructions in the
+  int sum_loops{0};         // per-actor typed program
   runtime::Tag push_tag{runtime::Tag::Double};  // content tag of its pushes
   // Inferred class per state slot, in declaration order: name -> "int" |
   // "double" | "mixed".
@@ -49,6 +51,7 @@ struct TypeflowResult {
   int typed_actors{0};    // filters whose work specializes
   int candidates{0};      // AST filters surveyed
   int typed_regs{0};      // sum of per-actor typed_regs
+  int mac_loops{0};       // sum of per-actor mac_loops + sum_loops
   int typed_channels{0};  // edges whose content tag is Double
   int int_channels{0};    // edges provably integer-valued
 

@@ -83,12 +83,16 @@ runtime::OpCounts estimate_work(const ir::FilterSpec& spec) {
 }
 
 runtime::OpCounts direct_work(const LinearRep& rep) {
-  // to_filter's multiplies and adds are what cost_flops_per_firing counts;
-  // its channel ops are one peek per nonzero, one push per row and the pop_n.
+  // Every nonzero coefficient is one trip of to_filter's row loops: the
+  // loop's increment and bound compare, the coefficient load, the peek, the
+  // multiply and the add into the accumulator.  Then one push per row and
+  // the final pop_n.
+  const auto nnz = static_cast<std::int64_t>(rep.A.nonzeros());
   runtime::OpCounts counts;
-  counts.flops = static_cast<std::int64_t>(rep.cost_flops_per_firing());
-  counts.channel =
-      static_cast<std::int64_t>(rep.A.nonzeros()) + rep.push + rep.pop;
+  counts.int_ops = 2 * nnz;
+  counts.mem = nnz;
+  counts.flops = 2 * nnz;
+  counts.channel = nnz + rep.push + rep.pop;
   return counts;
 }
 

@@ -21,10 +21,10 @@ namespace sit::linear {
 runtime::OpCounts estimate_work(const ir::FilterSpec& spec);
 
 // The OpCounts estimate_work(to_filter(rep, ...)) tallies, counted from the
-// matrix instead of by building and interpreting the filter: per output row
-// one multiply and one peek per nonzero coefficient, one add per term beyond
-// the first (the constant b[o] is a term), and the push; then the final
-// pop_n.  Requires peek >= pop, as every extracted or combined rep has.
+// matrix instead of by building and interpreting the filter: per nonzero
+// coefficient one row-loop trip (2 int ops), one coefficient load, one peek,
+// one multiply and one add; per output row the push; then the final pop_n.
+// Requires peek >= pop, as every extracted or combined rep has.
 runtime::OpCounts direct_work(const LinearRep& rep);
 
 // Per-firing flop estimate for any leaf node (AST filter or native).

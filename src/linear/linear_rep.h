@@ -57,6 +57,20 @@ std::vector<double> apply(const LinearRep& rep, const std::vector<double>& windo
 // function computes A*W + b directly.  The result is analyzable by every
 // other pass (extraction recovers `rep` exactly), which is how collapsed
 // nodes re-enter the stream graph.
+//
+// Row o's nonzero coefficients live in a state array `c<o>` (sized to the
+// row's last nonzero + 1, zeros elsewhere), and the row is computed as
+//
+//     acc = b[o]  (or -0.0 when b[o] == 0);
+//     for (i = lo; i < hi; i += st) acc = acc + peek(i) * c<o>[i];   // per
+//     push(acc);                           // progression of the nonzeros
+//
+// which is the mac-loop shape the compiled engines run as one
+// superinstruction.  Each loop is a maximal arithmetic progression of the
+// row's nonzero columns, in column order: the summation order (and so every
+// output bit) matches the left fold  b + c0*w0 + c1*w1 + ...  and a zero
+// coefficient is never multiplied.  An all-zero row pushes b[o] (+0.0 when
+// b[o] is zero).
 ir::FilterSpec to_filter(const LinearRep& rep, const std::string& name);
 
 // Exact structural equality (used in tests).

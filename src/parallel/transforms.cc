@@ -50,26 +50,26 @@ bool subtree_peeks(const NodeP& node) {
 
 namespace {
 
-// Per-instance state of a fused filter: a private executor over a clone of
-// the fused subtree.  The first firing also absorbs the subtree's
-// initialization epoch (which needs `init_in` extra input items, declared as
-// the fused filter's extra peek window).
+// Per-instance state of a fused filter: a private executor over the fused
+// subtree's program.  The subtree is validated, flattened and scheduled once
+// (in fuse_subtree); every instance and every clone shares that read-only
+// program and builds only its own executor storage.  The first firing also
+// absorbs the subtree's initialization epoch (which needs `init_in` extra
+// input items, declared as the fused filter's extra peek window).
 class FusedState final : public ir::NativeState {
  public:
-  explicit FusedState(NodeP inner) : inner_(std::move(inner)) { reset(); }
+  using ProgramP = std::shared_ptr<const sched::CompiledProgram>;
 
-  FusedState(const FusedState& o) : inner_(o.inner_) { reset(); }
+  explicit FusedState(ProgramP prog)
+      : prog_(std::move(prog)), ex_(std::make_unique<sched::Executor>(*prog_)) {}
+
+  FusedState(const FusedState& o) : FusedState(o.prog_) {}
 
   std::unique_ptr<ir::NativeState> clone() const override {
     return std::make_unique<FusedState>(*this);
   }
 
-  void reset() {
-    ex_ = std::make_unique<sched::Executor>(ir::clone(inner_));
-    started_ = false;
-  }
-
-  NodeP inner_;
+  ProgramP prog_;
   std::unique_ptr<sched::Executor> ex_;
   bool started_{false};
 };
@@ -77,9 +77,12 @@ class FusedState final : public ir::NativeState {
 }  // namespace
 
 NodeP fuse_subtree(const NodeP& node, const std::string& name) {
-  // Schedule the subtree in isolation to learn its external rates.
-  const runtime::FlatGraph g = runtime::flatten(node);
-  const sched::Schedule s = sched::make_schedule(g);
+  // Lower the subtree in isolation (its external rates come from its
+  // schedule); every instance of the fused filter runs this one program.
+  const FusedState::ProgramP prog =
+      std::make_shared<const sched::CompiledProgram>(sched::lower(ir::clone(node)));
+  const runtime::FlatGraph& g = prog->flat;
+  const sched::Schedule& s = prog->schedule;
   const int P = static_cast<int>(s.input_per_steady);
   const int I = static_cast<int>(s.input_for_init);
   const int Q = static_cast<int>(s.output_per_steady);
@@ -99,7 +102,6 @@ NodeP fuse_subtree(const NodeP& node, const std::string& name) {
     }
   }
 
-  const NodeP inner = ir::clone(node);
   ir::NativeFilter nf;
   nf.name = name;
   nf.pop = P;
@@ -108,8 +110,8 @@ NodeP fuse_subtree(const NodeP& node, const std::string& name) {
   nf.cost_ops = ops;
   nf.cost_flops = flops;
   nf.stateful = subtree_stateful(node) || subtree_peeks(node) || I > 0;
-  nf.make_state = [inner]() -> std::unique_ptr<ir::NativeState> {
-    return std::make_unique<FusedState>(inner);
+  nf.make_state = [prog]() -> std::unique_ptr<ir::NativeState> {
+    return std::make_unique<FusedState>(prog);
   };
   nf.work = [P, I, Q](ir::NativeState* state, ir::InTape& in, ir::OutTape& out) {
     auto* fs = dynamic_cast<FusedState*>(state);

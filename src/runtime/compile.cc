@@ -325,20 +325,35 @@ class FnCompiler {
         if (scalar_slot_.count(s->name) != 0) {
           bail("for variable '" + s->name + "' shadows a state scalar");
         }
-        const std::uint16_t ri = persistent(Value());
-        const std::uint16_t rhi = persistent(Value());
-        const std::uint16_t rstep = persistent(Value());
         // Bounds coerce through as_int() exactly as in the tree interpreter
-        // (uncounted, like any Value coercion).
+        // (uncounted, like any Value coercion).  The loop never writes its
+        // bound or step, so an integer-constant one is read straight from
+        // the constant pool, and a positive constant step needs no guard.
         const auto int_into = [&](std::uint16_t dst, const ExprRes& v) {
           emit({VmOp::Un, static_cast<std::uint8_t>(UnOp::ToInt),
                 CountTag::None, dst, v.reg});
         };
-        int_into(ri, expr(s->lo));
-        int_into(rhi, expr(s->hi));
-        int_into(rstep, s->step ? expr(s->step)
-                                : ExprRes{const_reg(Value(std::int64_t{1})), -1});
-        emit({VmOp::CheckStep, 0, CountTag::None, 0, rstep});
+        const auto bound = [&](const ExprP& e) {
+          if (!e) return const_reg(Value(std::int64_t{1}));
+          if (e->kind == Expr::Kind::IntConst) return const_reg(Value(e->ival));
+          const std::uint16_t r = persistent(Value());
+          int_into(r, expr(e));
+          return r;
+        };
+        const std::uint16_t ri = persistent(Value());
+        if (loop_depth_ == 0 && s->lo->kind == Expr::Kind::IntConst) {
+          // Outside any loop this For runs at most once per invocation, and
+          // every invocation starts from the register template: preload the
+          // constant start there.
+          persist_init_[ri] = Value(s->lo->ival);
+        } else {
+          int_into(ri, expr(s->lo));
+        }
+        const std::uint16_t rhi = bound(s->hi);
+        const std::uint16_t rstep = bound(s->step);
+        if (s->step && !(s->step->kind == Expr::Kind::IntConst && s->step->ival > 0)) {
+          emit({VmOp::CheckStep, 0, CountTag::None, 0, rstep});
+        }
         const std::int32_t ltest = here();
         const std::int32_t jge =
             emit({VmOp::JmpIfGe, 0, CountTag::None, 0, ri, rhi});
@@ -347,7 +362,9 @@ class FnCompiler {
         emit({VmOp::Move, 0, CountTag::None, slot, ri});
         const std::set<std::string> snapshot = assigned_;
         assigned_.insert(s->name);
+        ++loop_depth_;
         stmt(s->body);
+        --loop_depth_;
         emit({VmOp::ForInc, 0, CountTag::None, ri, rstep});
         VmInstr back{VmOp::Jmp};
         back.jump = ltest;
@@ -431,6 +448,7 @@ class FnCompiler {
   std::map<std::pair<bool, std::uint64_t>, std::uint16_t> const_pool_;
   std::set<std::string> assigned_;  // definitely-assigned locals
   std::vector<Value> persist_init_;
+  int loop_depth_{0};  // enclosing For statements of the one being compiled
   std::uint16_t temp_top_{0};
   std::uint16_t max_temps_{0};
   CompiledProgram prog_;
@@ -520,8 +538,16 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec, const FilterState& state,
     code.push_back(f);
   }
 
+  auto out = std::make_shared<TypedFilter>();
+  out->base = base;
+  // Collapse `for (i) acc += peek(i) [* coef[i]]` loops into the same
+  // mac-loop superinstruction the fused trace uses.
+  std::vector<FInstr> rolled = code;
+  select_superinstructions(rolled, out->macs, nullptr);
+
   TypedLowerInput in;
-  in.code = &code;
+  in.code = &rolled;
+  in.macs = &out->macs;
   in.num_regs = base->work.reg_init.size();
   in.reg_init = base->work.reg_init;
   in.scalar_names = &base->scalar_slots;
@@ -539,8 +565,17 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec, const FilterState& state,
     in.array_seed.push_back(array_tag(state.arrays.at(name)));
   }
 
-  auto out = std::make_shared<TypedFilter>();
-  out->base = base;
+  std::string refusal;
+  if (typed_lower(in, &out->work, &refusal)) return out;
+  if (out->macs.empty()) {
+    if (reason) *reason = refusal;
+    return nullptr;
+  }
+  // The raw kernel needs a Double accumulator and coefficient array; a loop
+  // that does not prove that ("super-untyped") still runs unrolled.
+  out->macs.clear();
+  out->work = TypedCode{};
+  in.code = &code;
   if (!typed_lower(in, &out->work, reason)) return nullptr;
   return out;
 }

@@ -6,6 +6,7 @@
 
 #include "runtime/compile.h"
 #include "runtime/eval_ops.h"
+#include "runtime/mac_loop.h"
 #include "runtime/typed.h"
 
 namespace sit::runtime {
@@ -23,26 +24,222 @@ struct BuildFail {
 
 [[noreturn]] void fail(std::string reason) { throw BuildFail{std::move(reason)}; }
 
-[[noreturn]] void peek_bounds_error(const std::string& name, std::int64_t off,
-                                    std::int64_t pops, std::int64_t window) {
-  throw std::runtime_error(
-      "peek out of bounds in '" + name + "': peek(" + std::to_string(off) +
-      ") after " + std::to_string(pops) +
-      " pop(s) exceeds the declared window of " + std::to_string(window));
-}
-
-[[noreturn]] void elem_bounds_error(const char* what, const std::string& name,
-                                    std::int64_t idx) {
-  throw std::runtime_error(std::string(what) + ": " + name + "[" +
-                           std::to_string(idx) + "]");
-}
-
 [[noreturn]] void buffer_peek_error(std::int64_t off, std::size_t live) {
   // Mirrors Channel::peek_item's message: the lowered buffer is the channel.
   throw std::runtime_error("peek(" + std::to_string(off) +
                            ") beyond channel contents (" +
                            std::to_string(live) + ")");
 }
+
+// ---- superinstruction selection ---------------------------------------------
+
+// No instruction outside [start, start+len) may jump strictly inside it
+// (jumps *at* start land on the superinstruction, which re-enters the
+// pattern at its entry point -- safe).
+bool region_clear(const std::vector<FInstr>& t, std::size_t start,
+                  std::size_t len) {
+  for (std::size_t j = 0; j < t.size(); ++j) {
+    const std::int32_t tgt = t[j].jump;
+    if (tgt > static_cast<std::int32_t>(start) &&
+        tgt < static_cast<std::int32_t>(start + len)) {
+      if (j < start || j >= start + len) return false;
+    }
+  }
+  return true;
+}
+
+bool all_distinct(std::initializer_list<std::uint16_t> regs) {
+  for (auto i = regs.begin(); i != regs.end(); ++i) {
+    for (auto j = i + 1; j != regs.end(); ++j) {
+      if (*i == *j) return false;
+    }
+  }
+  return true;
+}
+
+bool is_peek(FOp op) { return op == FOp::TPeek || op == FOp::RPeek; }
+bool is_pop(FOp op) { return op == FOp::TPop || op == FOp::RPop; }
+bool is_push(FOp op) { return op == FOp::TPush || op == FOp::RPush; }
+
+// The exact 9-instruction (array) / 7-instruction (sum) loop shape the
+// bytecode compiler emits for `for (i) acc += peek(i) [* coef[i]]`:
+//
+//   i+0  jge  ri, rhi  -> end         i+0  jge  ri, rhi -> end
+//   i+1  tally 2 (int)                i+1  tally 2 (int)
+//   i+2  move slot, ri                i+2  move slot, ri
+//   i+3  peek p, [slot]               i+3  peek p, [slot]
+//   i+4  ld.e q, arr[slot]            i+4  bin add acc, acc, p
+//   i+5  bin mul m, p, q              i+5  forinc ri, rstep
+//   i+6  bin add acc, acc, m          i+6  jmp -> i
+//   i+7  forinc ri, rstep
+//   i+8  jmp -> i
+bool match_mac(const std::vector<FInstr>& t, std::size_t i,
+               MacLoopArgs* out, std::size_t* len) {
+  const FInstr& I0 = t[i];
+  if (I0.op != FOp::JmpIfGe) return false;
+  const std::uint16_t ri = I0.a, rhi = I0.b;
+  for (const bool has_array : {true, false}) {
+    const std::size_t n = has_array ? 9 : 7;
+    if (i + n > t.size()) continue;
+    if (I0.jump != static_cast<std::int32_t>(i + n)) continue;
+    const FInstr& tl = t[i + 1];
+    if (tl.op != FOp::Tally || tl.sub != 2 || tl.count != CountTag::IntOp) continue;
+    const FInstr& mv = t[i + 2];
+    if (mv.op != FOp::Move || mv.a != ri) continue;
+    const std::uint16_t slot = mv.dst;
+    const FInstr& pk = t[i + 3];
+    if (!is_peek(pk.op) || pk.a != slot) continue;
+    const std::uint16_t p = pk.dst;
+    MacLoopArgs M;
+    M.ri = ri;
+    M.rhi = rhi;
+    M.slot = slot;
+    M.p = p;
+    M.edge = pk.edge;
+    M.real = pk.op == FOp::RPeek;
+    M.has_array = has_array;
+    std::size_t k = i + 4;
+    if (has_array) {
+      const FInstr& ld = t[k];
+      if (ld.op != FOp::LoadElem || ld.b != slot) continue;
+      M.q = ld.dst;
+      M.arr = ld.a;
+      const FInstr& mul = t[k + 1];
+      if (mul.op != FOp::Bin || static_cast<BinOp>(mul.sub) != BinOp::Mul ||
+          mul.count != CountTag::ByResult) {
+        continue;
+      }
+      if (!((mul.a == M.p && mul.b == M.q) || (mul.a == M.q && mul.b == M.p))) {
+        continue;
+      }
+      M.m = mul.dst;
+      k += 2;
+    }
+    const FInstr& add = t[k];
+    const std::uint16_t addend = has_array ? M.m : M.p;
+    if (add.op != FOp::Bin || static_cast<BinOp>(add.sub) != BinOp::Add ||
+        add.count != CountTag::ByResult || add.dst != add.a ||
+        add.b != addend) {
+      continue;
+    }
+    M.acc = add.dst;
+    const FInstr& inc = t[k + 1];
+    if (inc.op != FOp::ForInc || inc.dst != ri) continue;
+    M.rstep = inc.a;
+    const FInstr& jb = t[k + 2];
+    if (jb.op != FOp::Jmp || jb.jump != static_cast<std::int32_t>(i)) continue;
+    // The registers the window writes must be distinct, and distinct from
+    // the bound and step it only reads (those two may be one pooled
+    // constant).
+    const bool distinct =
+        has_array ? all_distinct({M.ri, M.slot, M.p, M.q, M.m, M.acc})
+                  : all_distinct({M.ri, M.slot, M.p, M.acc});
+    if (!distinct) continue;
+    const auto written = [&M, has_array](std::uint16_t r) {
+      return r == M.ri || r == M.slot || r == M.p || r == M.acc ||
+             (has_array && (r == M.q || r == M.m));
+    };
+    if (written(M.rhi) || written(M.rstep)) continue;
+    if (!region_clear(t, i, n)) continue;
+    *out = M;
+    *len = n;
+    return true;
+  }
+  return false;
+}
+
+// pop -> [compute] -> push, with nothing in between:
+//   [pop r][push r]                       pop-push
+//   [pop r][un  op d, r][push d]          pop-un-push
+//   [pop r][bin op d, a, b][push d]       pop-bin-push  (r in {a, b})
+bool match_pcp(const std::vector<FInstr>& t, std::size_t i, PcpArgs* out,
+               std::size_t* len) {
+  const FInstr& I0 = t[i];
+  if (!is_pop(I0.op)) return false;
+  const std::uint16_t r = I0.dst;
+  PcpArgs P;
+  P.in_edge = I0.edge;
+  P.in_real = I0.op == FOp::RPop;
+  P.rpop = r;
+  if (i + 1 < t.size() && is_push(t[i + 1].op) && t[i + 1].dst == r) {
+    P.kind = PcpArgs::Kind::Plain;
+    P.rres = r;
+    P.out_edge = t[i + 1].edge;
+    P.out_real = t[i + 1].op == FOp::RPush;
+    if (!region_clear(t, i, 2)) return false;
+    *out = P;
+    *len = 2;
+    return true;
+  }
+  if (i + 2 >= t.size() || !is_push(t[i + 2].op)) return false;
+  const FInstr& op = t[i + 1];
+  const FInstr& ps = t[i + 2];
+  if (ps.dst != op.dst) return false;
+  if (op.op == FOp::Un && op.a == r) {
+    P.kind = PcpArgs::Kind::Un;
+  } else if (op.op == FOp::Bin && (op.a == r || op.b == r)) {
+    P.kind = PcpArgs::Kind::Bin;
+  } else {
+    return false;
+  }
+  P.sub = op.sub;
+  P.tag = op.count;
+  P.a = op.a;
+  P.b = op.b;
+  P.rres = op.dst;
+  P.out_edge = ps.edge;
+  P.out_real = ps.op == FOp::RPush;
+  if (!region_clear(t, i, 3)) return false;
+  *out = P;
+  *len = 3;
+  return true;
+}
+
+}  // namespace
+
+void select_superinstructions(std::vector<FInstr>& t,
+                              std::vector<MacLoopArgs>& macs,
+                              std::vector<PcpArgs>* pcps) {
+  std::vector<FInstr> out;
+  out.reserve(t.size());
+  // new_index[old] for every old position, plus the one-past-the-end slot
+  // (jump targets may point at the stripped Halt position).
+  std::vector<std::int32_t> new_index(t.size() + 1, 0);
+  std::size_t i = 0;
+  while (i < t.size()) {
+    MacLoopArgs M;
+    PcpArgs P;
+    std::size_t len = 0;
+    FInstr I{};
+    // An argument table is indexed by the 16-bit `a` field; once one is
+    // full its pattern is simply left unfused.
+    if (macs.size() < 0xFFFF && match_mac(t, i, &M, &len)) {
+      I.op = FOp::MacLoop;
+      I.a = static_cast<std::uint16_t>(macs.size());
+      macs.push_back(M);
+    } else if (pcps != nullptr && pcps->size() < 0xFFFF &&
+               match_pcp(t, i, &P, &len)) {
+      I.op = FOp::PopComputePush;
+      I.a = static_cast<std::uint16_t>(pcps->size());
+      pcps->push_back(P);
+    } else {
+      I = t[i];
+      len = 1;
+    }
+    for (std::size_t k = 0; k < len; ++k) {
+      new_index[i + k] = static_cast<std::int32_t>(out.size());
+    }
+    out.push_back(I);
+    i += len;
+  }
+  new_index[t.size()] = static_cast<std::int32_t>(out.size());
+  for (FInstr& J : out) {
+    if (J.jump >= 0) J.jump = new_index[static_cast<std::size_t>(J.jump)];
+  }
+  t = std::move(out);
+}
+
+namespace {
 
 // ---- builder ----------------------------------------------------------------
 
@@ -148,7 +345,7 @@ class TraceBuilder {
     switch (a.kind) {
       case FlatActor::Kind::Filter: {
         std::vector<FInstr> tmpl = translate_filter(actor);
-        peephole(tmpl);
+        select_superinstructions(tmpl, prog_->macs, &prog_->pcps);
         FInstr reset{};
         reset.op = FOp::ResetRegs;
         reset.a = static_cast<std::uint16_t>(actor);
@@ -313,211 +510,6 @@ class TraceBuilder {
       prog_->code.push_back(I);
       if (I.jump >= 0) prog_->code.back().jump = base + I.jump;
     }
-  }
-
-  // ---- superinstruction selection -------------------------------------------
-
-  // No instruction outside [start, start+len) may jump strictly inside it
-  // (jumps *at* start land on the superinstruction, which re-enters the
-  // pattern at its entry point -- safe).
-  static bool region_clear(const std::vector<FInstr>& t, std::size_t start,
-                           std::size_t len) {
-    for (std::size_t j = 0; j < t.size(); ++j) {
-      const std::int32_t tgt = t[j].jump;
-      if (tgt > static_cast<std::int32_t>(start) &&
-          tgt < static_cast<std::int32_t>(start + len)) {
-        if (j < start || j >= start + len) return false;
-      }
-    }
-    return true;
-  }
-
-  static bool all_distinct(std::initializer_list<std::uint16_t> regs) {
-    for (auto i = regs.begin(); i != regs.end(); ++i) {
-      for (auto j = i + 1; j != regs.end(); ++j) {
-        if (*i == *j) return false;
-      }
-    }
-    return true;
-  }
-
-  static bool is_peek(FOp op) { return op == FOp::TPeek || op == FOp::RPeek; }
-  static bool is_pop(FOp op) { return op == FOp::TPop || op == FOp::RPop; }
-  static bool is_push(FOp op) { return op == FOp::TPush || op == FOp::RPush; }
-
-  // The exact 9-instruction (array) / 7-instruction (sum) loop shape the
-  // bytecode compiler emits for `for (i) acc += peek(i) [* coef[i]]`:
-  //
-  //   i+0  jge  ri, rhi  -> end         i+0  jge  ri, rhi -> end
-  //   i+1  tally 2 (int)                i+1  tally 2 (int)
-  //   i+2  move slot, ri                i+2  move slot, ri
-  //   i+3  peek p, [slot]               i+3  peek p, [slot]
-  //   i+4  ld.e q, arr[slot]            i+4  bin add acc, acc, p
-  //   i+5  bin mul m, p, q              i+5  forinc ri, rstep
-  //   i+6  bin add acc, acc, m          i+6  jmp -> i
-  //   i+7  forinc ri, rstep
-  //   i+8  jmp -> i
-  bool match_mac(const std::vector<FInstr>& t, std::size_t i,
-                 MacLoopArgs* out, std::size_t* len) const {
-    const FInstr& I0 = t[i];
-    if (I0.op != FOp::JmpIfGe) return false;
-    const std::uint16_t ri = I0.a, rhi = I0.b;
-    for (const bool has_array : {true, false}) {
-      const std::size_t n = has_array ? 9 : 7;
-      if (i + n > t.size()) continue;
-      if (I0.jump != static_cast<std::int32_t>(i + n)) continue;
-      const FInstr& tl = t[i + 1];
-      if (tl.op != FOp::Tally || tl.sub != 2 || tl.count != CountTag::IntOp) continue;
-      const FInstr& mv = t[i + 2];
-      if (mv.op != FOp::Move || mv.a != ri) continue;
-      const std::uint16_t slot = mv.dst;
-      const FInstr& pk = t[i + 3];
-      if (!is_peek(pk.op) || pk.a != slot) continue;
-      const std::uint16_t p = pk.dst;
-      MacLoopArgs M;
-      M.ri = ri;
-      M.rhi = rhi;
-      M.slot = slot;
-      M.p = p;
-      M.edge = pk.edge;
-      M.real = pk.op == FOp::RPeek;
-      M.has_array = has_array;
-      std::size_t k = i + 4;
-      if (has_array) {
-        const FInstr& ld = t[k];
-        if (ld.op != FOp::LoadElem || ld.b != slot) continue;
-        M.q = ld.dst;
-        M.arr = ld.a;
-        const FInstr& mul = t[k + 1];
-        if (mul.op != FOp::Bin || static_cast<BinOp>(mul.sub) != BinOp::Mul ||
-            mul.count != CountTag::ByResult) {
-          continue;
-        }
-        if (!((mul.a == M.p && mul.b == M.q) || (mul.a == M.q && mul.b == M.p))) {
-          continue;
-        }
-        M.m = mul.dst;
-        k += 2;
-      }
-      const FInstr& add = t[k];
-      const std::uint16_t addend = has_array ? M.m : M.p;
-      if (add.op != FOp::Bin || static_cast<BinOp>(add.sub) != BinOp::Add ||
-          add.count != CountTag::ByResult || add.dst != add.a ||
-          add.b != addend) {
-        continue;
-      }
-      M.acc = add.dst;
-      const FInstr& inc = t[k + 1];
-      if (inc.op != FOp::ForInc || inc.dst != ri) continue;
-      M.rstep = inc.a;
-      const FInstr& jb = t[k + 2];
-      if (jb.op != FOp::Jmp || jb.jump != static_cast<std::int32_t>(i)) continue;
-      const bool distinct =
-          has_array
-              ? all_distinct({M.ri, M.rhi, M.rstep, M.slot, M.p, M.q, M.m, M.acc})
-              : all_distinct({M.ri, M.rhi, M.rstep, M.slot, M.p, M.acc});
-      if (!distinct) continue;
-      if (!region_clear(t, i, n)) continue;
-      *out = M;
-      *len = n;
-      return true;
-    }
-    return false;
-  }
-
-  // pop -> [compute] -> push, with nothing in between:
-  //   [pop r][push r]                       pop-push
-  //   [pop r][un  op d, r][push d]          pop-un-push
-  //   [pop r][bin op d, a, b][push d]       pop-bin-push  (r in {a, b})
-  bool match_pcp(const std::vector<FInstr>& t, std::size_t i, PcpArgs* out,
-                 std::size_t* len) const {
-    const FInstr& I0 = t[i];
-    if (!is_pop(I0.op)) return false;
-    const std::uint16_t r = I0.dst;
-    PcpArgs P;
-    P.in_edge = I0.edge;
-    P.in_real = I0.op == FOp::RPop;
-    P.rpop = r;
-    if (i + 1 < t.size() && is_push(t[i + 1].op) && t[i + 1].dst == r) {
-      P.kind = PcpArgs::Kind::Plain;
-      P.rres = r;
-      P.out_edge = t[i + 1].edge;
-      P.out_real = t[i + 1].op == FOp::RPush;
-      if (!region_clear(t, i, 2)) return false;
-      *out = P;
-      *len = 2;
-      return true;
-    }
-    if (i + 2 >= t.size() || !is_push(t[i + 2].op)) return false;
-    const FInstr& op = t[i + 1];
-    const FInstr& ps = t[i + 2];
-    if (ps.dst != op.dst) return false;
-    if (op.op == FOp::Un && op.a == r) {
-      P.kind = PcpArgs::Kind::Un;
-    } else if (op.op == FOp::Bin && (op.a == r || op.b == r)) {
-      P.kind = PcpArgs::Kind::Bin;
-    } else {
-      return false;
-    }
-    P.sub = op.sub;
-    P.tag = op.count;
-    P.a = op.a;
-    P.b = op.b;
-    P.rres = op.dst;
-    P.out_edge = ps.edge;
-    P.out_real = ps.op == FOp::RPush;
-    if (!region_clear(t, i, 3)) return false;
-    *out = P;
-    *len = 3;
-    return true;
-  }
-
-  // Rewrite a filter template in place, replacing matched windows with
-  // superinstructions and remapping every jump through the index map.
-  void peephole(std::vector<FInstr>& t) {
-    std::vector<FInstr> out;
-    out.reserve(t.size());
-    // new_index[old] for every old position, plus the one-past-the-end slot
-    // (jump targets may point at the stripped Halt position).
-    std::vector<std::int32_t> new_index(t.size() + 1, 0);
-    std::size_t i = 0;
-    while (i < t.size()) {
-      MacLoopArgs M;
-      PcpArgs P;
-      std::size_t len = 0;
-      if (match_mac(t, i, &M, &len)) {
-        if (prog_->macs.size() >= 0xFFFF) fail("args-table overflow");
-        FInstr I{};
-        I.op = FOp::MacLoop;
-        I.a = static_cast<std::uint16_t>(prog_->macs.size());
-        prog_->macs.push_back(M);
-        for (std::size_t k = 0; k < len; ++k) {
-          new_index[i + k] = static_cast<std::int32_t>(out.size());
-        }
-        out.push_back(I);
-        i += len;
-      } else if (match_pcp(t, i, &P, &len)) {
-        if (prog_->pcps.size() >= 0xFFFF) fail("args-table overflow");
-        FInstr I{};
-        I.op = FOp::PopComputePush;
-        I.a = static_cast<std::uint16_t>(prog_->pcps.size());
-        prog_->pcps.push_back(P);
-        for (std::size_t k = 0; k < len; ++k) {
-          new_index[i + k] = static_cast<std::int32_t>(out.size());
-        }
-        out.push_back(I);
-        i += len;
-      } else {
-        new_index[i] = static_cast<std::int32_t>(out.size());
-        out.push_back(t[i]);
-        ++i;
-      }
-    }
-    new_index[t.size()] = static_cast<std::int32_t>(out.size());
-    for (FInstr& I : out) {
-      if (I.jump >= 0) I.jump = new_index[static_cast<std::size_t>(I.jump)];
-    }
-    t = std::move(out);
   }
 
   // ---- splitter / joiner synthesis ------------------------------------------
@@ -834,6 +826,7 @@ TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
   in.scalar_names = &base->scalar_names;
   in.array_names = &base->array_names;
   in.fused = base.get();
+  in.macs = &base->macs;
   in.loop = true;  // fused registers persist across iterations
   // Seed the state classes from the current (post-init) tags, per actor.
   in.scalar_seed.assign(base->scalar_names.size(), Tag::Int);
@@ -1373,8 +1366,8 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
           Channel* const ch = M.real ? chans_[M.edge] : nullptr;
           // Hoisted precheck: when no per-element check can fire across the
           // whole range, run the raw kernel and count in bulk.  `last` is the
-          // largest index the loop touches (st > 0 was established by the
-          // CheckStep the superinstruction absorbed).
+          // largest index the loop touches (st > 0: the step is a positive
+          // constant or passed the CheckStep ahead of the loop).
           const std::int64_t last = i + ((hi - 1 - i) / st) * st;
           bool fast = i >= 0 && st > 0;
           if (fast && debug && pops + last >= window) fast = false;
@@ -1390,29 +1383,17 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
               static_cast<std::size_t>(last) >= arr->size()) {
             fast = false;
           }
-          if (fast && s != nullptr) {
-            const double* const src = s->buf.data() + s->rd;
-            if (arr != nullptr) {
-              const double* const coef = arr->data();
-              for (; i < hi; i += st) acc += src[i] * coef[i];
-            } else {
-              for (; i < hi; i += st) acc += src[i];
-            }
-            if constexpr (kCount) {
-              const std::int64_t trips = (hi - ir_[M.ri] + st - 1) / st;
-              cur->int_ops += 2 * trips;
-              cur->channel += trips;
-              if (arr != nullptr) {
-                cur->mem += trips;
-                cur->flops += 2 * trips;  // mul + add per term
+          if (fast) {
+            const double* const coef = arr != nullptr ? arr->data() : nullptr;
+            if (s != nullptr) {
+              const double* const src = s->buf.data() + s->rd;
+              if (coef != nullptr) {
+                for (; i < hi; i += st) acc += src[i] * coef[i];
               } else {
-                cur->flops += trips;  // add per term
+                for (; i < hi; i += st) acc += src[i];
               }
-            }
-          } else if (fast) {
-            // Real-channel mac: peek through the ring (still raw doubles).
-            if (arr != nullptr) {
-              const double* const coef = arr->data();
+            } else if (coef != nullptr) {
+              // Real-channel mac: peek through the ring (still raw doubles).
               for (; i < hi; i += st) {
                 acc += ch->peek_item(static_cast<int>(i)) * coef[i];
               }
@@ -1423,45 +1404,28 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
               const std::int64_t trips = (hi - ir_[M.ri] + st - 1) / st;
               cur->int_ops += 2 * trips;
               cur->channel += trips;
-              if (arr != nullptr) {
+              if (coef != nullptr) {
                 cur->mem += trips;
-                cur->flops += 2 * trips;
+                cur->flops += 2 * trips;  // mul + add per term
               } else {
-                cur->flops += trips;
+                cur->flops += trips;  // add per term
               }
             }
           } else {
             // Checked path: per-element checks and counts in exactly the
             // tree interpreter's order, so an error fires at the same element
             // with the same partial counts.
-            for (; i < hi; i += st) {
-              if constexpr (kCount) cur->int_ops += 2;
-              if (debug && (i < 0 || pops + i >= window)) {
-                peek_bounds_error(meta->name, i, pops, window);
+            const MacCheck chk{
+                debug, pops, window, &meta->name,
+                M.has_array ? &base.array_names[M.arr] : nullptr};
+            const auto peek = [&](std::int64_t k) {
+              if (s == nullptr) return ch->peek_item(static_cast<int>(k));
+              if (k < 0 || s->rd + static_cast<std::size_t>(k) >= s->wr) {
+                buffer_peek_error(k, s->wr - s->rd);
               }
-              double pd;
-              if (s != nullptr) {
-                if (i < 0 || s->rd + static_cast<std::size_t>(i) >= s->wr) {
-                  buffer_peek_error(i, s->wr - s->rd);
-                }
-                pd = s->buf[s->rd + static_cast<std::size_t>(i)];
-              } else {
-                pd = ch->peek_item(static_cast<int>(i));
-              }
-              if constexpr (kCount) ++cur->channel;
-              double term = pd;
-              if (arr != nullptr) {
-                if (i < 0 || static_cast<std::size_t>(i) >= arr->size()) {
-                  elem_bounds_error("array index out of bounds",
-                                    base.array_names[M.arr], i);
-                }
-                if constexpr (kCount) ++cur->mem;
-                term = pd * (*arr)[static_cast<std::size_t>(i)];
-                if constexpr (kCount) ++cur->flops;
-              }
-              acc += term;
-              if constexpr (kCount) ++cur->flops;
-            }
+              return s->buf[s->rd + static_cast<std::size_t>(k)];
+            };
+            acc = mac_loop_checked<kCount>(i, hi, st, acc, peek, arr, cur, chk);
           }
           dr[M.acc] = acc;
           // The loop-variable local holds its final iteration's value.

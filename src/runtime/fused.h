@@ -42,9 +42,11 @@
 // per-actor executor runs (modulo the admissibility rules in
 // analysis/fuse.h) can fuse.
 //
-// A peephole pass over each template then collapses the hot patterns into
-// superinstructions -- single opcodes that execute a whole loop or firing
-// with identical semantics and identical OpCounts:
+// A peephole pass over each template (select_superinstructions, which
+// typed_compile also runs on every per-actor program for the two loop
+// patterns) then collapses the hot patterns into superinstructions --
+// single opcodes that execute a whole loop or firing with identical
+// semantics and identical OpCounts:
 //
 //   mac-loop       for(i) acc += peek(i) * coef[i]   (FIR taps; the dominant
 //                  pattern of every linear app)
@@ -215,6 +217,18 @@ struct FusedProgram {
 };
 
 using FusedProgramP = std::shared_ptr<const FusedProgram>;
+
+// Superinstruction selection over one instruction stream (a fused actor
+// template, or a per-actor work program re-expressed as FInstr; jump targets
+// are stream indices, and a target == t.size() means "fall off the end").
+// Every matched window collapses into one FOp::MacLoop or (when `pcps` is
+// non-null) FOp::PopComputePush whose `a` indexes the arguments appended to
+// that table, and every jump is remapped through the old -> new index map.  The one matcher both compiled engines
+// use: build_fused runs it on every filter template, typed_compile on every
+// per-actor program.
+void select_superinstructions(std::vector<FInstr>& t,
+                              std::vector<MacLoopArgs>& macs,
+                              std::vector<PcpArgs>* pcps);
 
 // Build the fused trace for one steady-state iteration.  `order`/`reps` are
 // the single-appearance schedule; `carry`/`traffic` are the per-edge sizing

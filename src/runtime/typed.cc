@@ -130,7 +130,7 @@ void transfer(Flow& F, const FInstr& I, TagVec& s) {
       reset_tags(F, I.a, s);
       break;
     case FOp::MacLoop: {
-      const MacLoopArgs& M = F.in->fused->macs[I.a];
+      const MacLoopArgs& M = (*F.in->macs)[I.a];
       // Zero-trip leaves acc/slot untouched, so their OUT tag is the join.
       s[M.acc] = join_tag(s[M.acc], Tag::Double);
       s[M.slot] = join_tag(s[M.slot], Tag::Int);
@@ -397,7 +397,7 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, TyInstr* T) {
       break;
     }
     case FOp::MacLoop: {
-      const MacLoopArgs& M = F.in->fused->macs[I.a];
+      const MacLoopArgs& M = (*F.in->macs)[I.a];
       if (s[M.ri] == Tag::Mixed || s[M.rhi] == Tag::Mixed ||
           s[M.rstep] == Tag::Mixed || s[M.acc] == Tag::Mixed) {
         return L.fail(L.site("mixed-register"));

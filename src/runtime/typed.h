@@ -36,7 +36,8 @@
 //     promotion, truncating casts, op counting, and error strings exactly.
 //
 // Consumers: compile.cc::typed_compile specializes one filter's work program
-// (executed by TypedBound, vm.cc -- the per-actor typed VM);
+// (executed by TypedBound, vm.cc -- the per-actor typed VM, which runs the
+// fused trace's mac-loop / sum-loop superinstructions too);
 // fused.cc::build_typed_fused specializes a whole fused steady-state trace
 // (executed by TypedFusedExec, with the mac-loop superinstruction lowered to
 // a raw double* kernel); and analysis/typeflow.h lifts the per-actor results
@@ -110,11 +111,12 @@ struct TypedCode {
 };
 
 // Lowering input.  For a VM work program, `code` is the VmInstr stream
-// re-expressed as FInstr (Peek -> RPeek with edge -1, etc.) and `fused` is
-// null.  For a fused trace, `fused` supplies the superinstruction argument
-// tables and per-actor register templates, and `loop` makes the analysis
-// join the Halt-exit state back into the entry state (fused registers
-// persist across iterations; VM registers are re-templated every firing).
+// re-expressed as FInstr (Peek -> RPeek with edge -1, etc.), with its
+// mac-loops selected against `macs`, and `fused` is null.  For a fused
+// trace, `fused` supplies the other superinstruction argument tables and
+// per-actor register templates, and `loop` makes the analysis join the
+// Halt-exit state back into the entry state (fused registers persist across
+// iterations; VM registers are re-templated every firing).
 struct TypedLowerInput {
   const std::vector<FInstr>* code{nullptr};
   std::size_t num_regs{0};
@@ -124,6 +126,7 @@ struct TypedLowerInput {
   const std::vector<std::string>* scalar_names{nullptr};  // refusal strings
   const std::vector<std::string>* array_names{nullptr};
   const FusedProgram* fused{nullptr};
+  const std::vector<MacLoopArgs>* macs{nullptr};  // MacLoop arguments
   bool loop{false};
 };
 
@@ -143,6 +146,7 @@ bool typed_lower(const TypedLowerInput& in, TypedCode* out,
 struct TypedFilter {
   CompiledFilterP base;
   TypedCode work;
+  std::vector<MacLoopArgs> macs;  // arguments of work's MacLoop instructions
 };
 
 using TypedFilterP = std::shared_ptr<const TypedFilter>;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "runtime/eval_ops.h"
+#include "runtime/mac_loop.h"
 #include "runtime/typed.h"
 
 namespace sit::runtime {
@@ -11,32 +12,15 @@ using ir::BinOp;
 using ir::UnOp;
 using ir::Value;
 
-namespace {
-
-[[noreturn]] void peek_bounds_error(const std::string& name, std::int64_t off,
-                                    std::int64_t pops, std::int64_t window) {
-  throw std::runtime_error(
-      "peek out of bounds in '" + name + "': peek(" + std::to_string(off) +
-      ") after " + std::to_string(pops) +
-      " pop(s) exceeds the declared window of " + std::to_string(window));
-}
-
-[[noreturn]] void elem_bounds_error(const char* what, const std::string& name,
-                                    std::int64_t idx) {
-  throw std::runtime_error(std::string(what) + ": " + name + "[" +
-                           std::to_string(idx) + "]");
-}
-
-}  // namespace
-
 // ---- typed (dual-plane) dispatch --------------------------------------------
 //
 // TypedBound runs a filter's bytecode instruction for instruction with the
 // tree interpreter's op counting, debug peek checks and error strings, and
 // reports each firing's measured channel batches as trace events.  What
 // typeflow proved safe is what makes it fast: registers live in two raw
-// planes (no variant), CountTag::ByResult is pre-resolved, and state
-// loads/stores go through the slot's inferred class.
+// planes (no variant), CountTag::ByResult is pre-resolved, state
+// loads/stores go through the slot's inferred class, and a
+// `for (i) acc += peek(i) [* coef[i]]` loop is one MacLoop dispatch.
 
 TypedBound::TypedBound(TypedFilterP prog, FilterState& state)
     : prog_(std::move(prog)) {
@@ -229,6 +213,31 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
         if constexpr (kCount) counts->int_ops += I.sub;
         ++pc;
         break;
+      case FOp::MacLoop: {
+        // The fused trace's superinstruction over this firing's input tape,
+        // always on the checked kernel (the tape's extent is not known up
+        // front, and counts must stop exactly where an error fires).
+        const MacLoopArgs& M = prog_->macs[I.a];
+        std::int64_t i = ir[M.ri];
+        const std::int64_t hi = ir[M.rhi];
+        if (i < hi) {
+          const std::int64_t st = ir[M.rstep];
+          const MacCheck chk{
+              debug, pops, base.peek_window, &base.name,
+              M.has_array ? &base.array_slots[M.arr] : nullptr};
+          const auto peek = [in](std::int64_t k) {
+            return in->peek_item(static_cast<int>(k));
+          };
+          dr[M.acc] = mac_loop_checked<kCount>(
+              i, hi, st, dr[M.acc], peek,
+              M.has_array ? arrays_[M.arr] : nullptr, counts, chk);
+          // The loop-variable local holds its final iteration's value.
+          ir[M.slot] = i - st;
+        }
+        ir[M.ri] = i;
+        ++pc;
+        break;
+      }
       case FOp::Halt:
         if (trace != nullptr && trace->tb != nullptr) {
           const std::int64_t ts = trace->rec->now_ns();
@@ -242,7 +251,8 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
         }
         return;
       default:
-        // TPeek/TPop/... / superinstructions never appear at the VM layer.
+        // TPeek/TPop/... and the fused-only superinstructions never appear
+        // at the VM layer.
         throw std::logic_error("typed VM dispatch: unexpected opcode");
     }
   }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
@@ -291,7 +292,10 @@ TEST(FusedRoll, O2TracesAreProportionalToTheGraph) {
       {"FMRadio", 64, {}},
       {"ChannelVocoder",
        10000,
-       {{"copy-run", 7633}, {"dup-run", 1}, {"pop-un-push", 7633}}},
+       {{"copy-run", 7633},
+        {"dup-run", 1},
+        {"mac-loop", 7633},
+        {"pop-un-push", 7633}}},
   };
   for (const auto& c : cases) {
     auto ex = make_fused_at(c.app, opt::OptLevel::O2);
@@ -318,6 +322,75 @@ TEST(FusedRoll, TypedLoweringCoversEveryFusableAppAtO0AndO2) {
       EXPECT_NE(ex.typed_fused_program(), nullptr)
           << app.name << ": " << ex.typed_fused_refusal();
     }
+  }
+}
+
+// Items the source actors emit per steady state (bench_fused's and
+// e2ebench's normalization: invariant under linear rewrites).
+std::int64_t source_items(const sched::Executor& ex) {
+  const runtime::FlatGraph& g = ex.graph();
+  std::int64_t n = 0;
+  for (std::size_t i = 0; i < g.actors.size(); ++i) {
+    bool has_in = false;
+    for (const int e : g.actors[i].in_edges) has_in |= e >= 0;
+    if (!has_in) n += ex.schedule().reps[i] * g.actors[i].push_rate();
+  }
+  return n;
+}
+
+// Instructions one steady state dispatches, counted statically: a rolled
+// trace counts each actor's body reps[a] times (a superinstruction is one
+// dispatch, loops inside a body count once).  A program the fused engine
+// refuses counts its per-actor typed programs: reps[a] x the work program
+// per filter, one dispatch per other firing.
+std::int64_t static_dispatches(const sched::Executor& ex) {
+  if (const runtime::FusedProgram* fp = ex.fused_program()) {
+    std::vector<std::int64_t> weight(fp->code.size(), 1);
+    for (std::size_t pc = 0; pc < fp->code.size(); ++pc) {
+      if (fp->code[pc].op != runtime::FOp::Repeat) continue;
+      for (auto k = static_cast<std::size_t>(fp->code[pc].jump); k <= pc; ++k) {
+        weight[k] = fp->reps[fp->code[pc].a];
+      }
+    }
+    std::int64_t n = 0;
+    for (const std::int64_t w : weight) n += w;
+    return n;
+  }
+  std::int64_t n = 0;
+  for (std::size_t a = 0; a < ex.graph().actors.size(); ++a) {
+    const std::int64_t reps = ex.schedule().reps[a];
+    if (!ex.graph().actors[a].is_filter()) {
+      n += reps;
+      continue;
+    }
+    const runtime::TypedFilter* tp = ex.typed_program(static_cast<int>(a));
+    if (tp == nullptr) {
+      ADD_FAILURE() << ex.graph().actors[a].name << " is not typed: "
+                    << ex.typed_refusal(static_cast<int>(a));
+      continue;
+    }
+    n += reps * static_cast<std::int64_t>(tp->work.code.size());
+  }
+  return n;
+}
+
+TEST(FusedRoll, O2NeverDispatchesMorePerItemThanO0) {
+  // Linear combination must not buy a cheaper modeled cost with a longer
+  // executed program: per source item, the -O2 program dispatches no more
+  // instructions than the -O0 one, on every app.
+  for (const auto& app : apps::all_apps()) {
+    double per_item[2] = {0, 0};
+    int k = 0;
+    for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
+      auto ex = make_fused_at(app.name, level);
+      const std::int64_t items = source_items(ex);
+      ASSERT_GT(items, 0) << app.name;
+      per_item[k++] = static_cast<double>(static_dispatches(ex)) /
+                      static_cast<double>(items);
+    }
+    std::printf("%-15s dispatches/item  O0 %9.2f  O2 %9.2f\n", app.name.c_str(),
+                per_item[0], per_item[1]);
+    EXPECT_LE(per_item[1], per_item[0]) << app.name;
   }
 }
 

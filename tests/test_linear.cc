@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
@@ -226,6 +229,122 @@ TEST(LinearRepTest, ApplyMatchesFilterExecution) {
   const auto want = sit::linear::apply(r, window);
   for (int o = 0; o < r.push; ++o) {
     EXPECT_NEAR(out[static_cast<std::size_t>(o)], want[static_cast<std::size_t>(o)], 1e-9);
+  }
+}
+
+// to_filter's row loops must reproduce, bit for bit, the left fold the
+// unrolled form computed:  b + c0*w0 + c1*w1 + ...  (starting from the first
+// term when b == 0, +0.0 for an all-zero row), on every engine.  The rows
+// cover b != 0, b == 0, b == -0.0, all-zero rows (b zero and not), one
+// stride-2 progression, a row that splits into two progressions, and a
+// single nonzero.  The inputs hold -0.0 / +0.0 (a +0.0 start would turn a
+// sum of -0.0 terms into +0.0) and inf / NaN, some at columns that are zero
+// in a row: that row must stay finite, since a zero coefficient is never
+// multiplied.
+LinearRep lowering_rep() {
+  LinearRep r;
+  r.peek = 10;
+  r.pop = 2;
+  r.push = 8;
+  r.A = Matrix(8, 10);
+  r.b.assign(8, 0.0);
+  const auto set = [&r](int o, std::vector<std::pair<int, double>> terms) {
+    for (const auto& [i, c] : terms) {
+      r.A.at(static_cast<std::size_t>(o), static_cast<std::size_t>(i)) = c;
+    }
+  };
+  set(0, {{0, 0.5}, {1, -1.25}, {2, 2.0}, {3, 0.125}});
+  r.b[0] = 0.75;
+  set(1, {{1, 0.3}, {3, -0.7}, {5, 1.1}, {7, 0.9}});  // stride 2
+  // rows 2 and 3: all zero, b = 0 and b = 2.5
+  r.b[3] = 2.5;
+  set(4, {{0, 1.5}, {4, -2.0}, {5, 0.25}, {6, 3.0}});  // [0,4] step 4; [5,6]
+  set(5, {{2, -0.5}});                                 // one nonzero
+  set(6, {{1, 2.0}, {5, 0.5}});                        // stride 4
+  r.b[6] = -0.0;
+  set(7, {{3, 0.1}, {4, 0.2}, {5, 0.3}, {6, 0.4}, {7, 0.5}});
+  r.b[7] = -3.5;
+  return r;
+}
+
+// The unrolled form's left fold over one window.
+std::vector<double> unrolled_fold(const LinearRep& r, const double* w) {
+  std::vector<double> out;
+  for (int o = 0; o < r.push; ++o) {
+    const double b = r.b[static_cast<std::size_t>(o)];
+    bool any = b != 0.0;
+    double acc = any ? b : 0.0;
+    for (int i = 0; i < r.peek; ++i) {
+      const double c = r.A.at(static_cast<std::size_t>(o), static_cast<std::size_t>(i));
+      if (c == 0.0) continue;
+      const double term = c * w[i];
+      acc = any ? acc + term : term;
+      any = true;
+    }
+    out.push_back(acc);
+  }
+  return out;
+}
+
+TEST(LinearRepTest, ToFilterRowLoopsAreBitEqualToTheUnrolledFold) {
+  const LinearRep r = lowering_rep();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Three firings (pop 2); the window slides over every special value.
+  const std::vector<double> input = {1.5,  -0.0, -0.0, 0.0,  3.0, -0.0, -0.0,
+                                     -1.0, inf,  nan,  -inf, 0.0, 2.0,  -0.0};
+  const int firings = 3;
+  ASSERT_EQ(static_cast<int>(input.size()), r.peek + (firings - 1) * r.pop);
+  std::vector<double> want;
+  for (int t = 0; t < firings; ++t) {
+    const auto y = unrolled_fold(r, input.data() + t * r.pop);
+    want.insert(want.end(), y.begin(), y.end());
+  }
+  // The inputs exercise what they are meant to.  The first window holds inf
+  // and NaN only at columns 8 and 9, zero in every row, so every output of
+  // the first firing is finite; row 6 sums two -0.0 terms; the second firing
+  // yields an inf (row 4) and a NaN (row 7).
+  for (int o = 0; o < r.push; ++o) EXPECT_TRUE(std::isfinite(want[o])) << o;
+  EXPECT_TRUE(std::signbit(want[6]) && want[6] == 0.0);
+  EXPECT_TRUE(std::isinf(want[8 + 4]));
+  EXPECT_TRUE(std::isnan(want[8 + 7]));
+
+  const ir::FilterSpec spec = to_filter(r, "lowered");
+  // One loop per progression: 4 + 4 + 0 + 0 + 4 + 1 + 2 + 5 nonzeros in
+  // 1 + 1 + 0 + 0 + 2 + 1 + 1 + 1 loops.
+  int loops = 0;
+  for (const auto& st : spec.work->stmts) loops += st->kind == Stmt::Kind::For;
+  EXPECT_EQ(loops, 7);
+
+  const struct {
+    const char* name;
+    sched::Engine engine;
+  } engines[] = {{"tree", sched::Engine::Tree},
+                 {"vm", sched::Engine::Vm},
+                 {"fused", sched::Engine::Fused}};
+  for (const auto& e : engines) {
+    SCOPED_TRACE(e.name);
+    sched::ExecOptions opts;
+    opts.engine = e.engine;
+    opts.typed = sched::TypedMode::On;
+    sched::Executor ex(make_filter(spec), opts);
+    if (e.engine == sched::Engine::Vm) {
+      ASSERT_TRUE(ex.actor_uses_typed(0)) << ex.typed_refusal(0);
+      EXPECT_EQ(ex.typed_program(0)->macs.size(), 7u);
+    }
+    if (e.engine == sched::Engine::Fused) {
+      ASSERT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+      EXPECT_EQ(ex.fused_program()->super_count("mac-loop"), 7);
+    }
+    ex.feed_input(input);
+    const std::vector<double> got = ex.run_steady(firings);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                std::bit_cast<std::uint64_t>(want[k]))
+          << "item " << k << ": " << got[k] << " vs " << want[k];
+    }
+    EXPECT_EQ(ex.total_ops().flops, 2 * firings * static_cast<std::int64_t>(r.A.nonzeros()));
   }
 }
 

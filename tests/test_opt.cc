@@ -289,6 +289,8 @@ TEST(Compile, RepeatedLinearPassesAreUnchanged) {
   // A second linear-combine / frequency run finds nothing new to rewrite.
   // The `_lin` / `_freq` nodes the first run created must not count as this
   // run's rewrites: the repeat reports unchanged and returns its input.
+  // FMRadio's first run of each pass rewrites; a lone FIR filter gains
+  // nothing from combination, so FIR would not exercise the repeat.
   CompileOptions copts;
   copts.passes = "validate,linear-combine,linear-combine,frequency,frequency";
   std::vector<ir::NodeP> outputs;
@@ -296,7 +298,7 @@ TEST(Compile, RepeatedLinearPassesAreUnchanged) {
     outputs.push_back(g);
   };
   PassContext ctx;
-  compile(apps::make_app("FIR"), copts, &ctx);
+  compile(apps::make_app("FMRadio"), copts, &ctx);
   std::vector<bool> changed;
   for (const obs::PassSnapshot& s : ctx.stats) changed.push_back(s.changed);
   ASSERT_EQ(ctx.stats.size(), 6u);  // analysis-gate is prepended

@@ -231,6 +231,16 @@ TEST(TypedSpecialize, WholeGraphAnalysisMatchesExecutorOnFir) {
   const std::string table = tf.describe(ex.graph());
   EXPECT_NE(table.find("3/3 filter(s) specialized"), std::string::npos)
       << table;
+  // The 128-tap loop runs as one per-actor mac-loop, as the executor's own
+  // typed program does.
+  EXPECT_EQ(tf.mac_loops, 1);
+  for (std::size_t a = 0; a < ex.graph().actors.size(); ++a) {
+    const auto* tp = ex.typed_program(static_cast<int>(a));
+    const int macs = tp != nullptr ? static_cast<int>(tp->macs.size()) : 0;
+    EXPECT_EQ(tf.actors[a].mac_loops + tf.actors[a].sum_loops, macs)
+        << ex.graph().actors[a].name;
+  }
+  EXPECT_NE(table.find("1 mac-loop(s)"), std::string::npos) << table;
 }
 
 // ---- refusal taxonomy -------------------------------------------------------

@@ -572,6 +572,168 @@ TEST(VmDifferential, DisassembleSmoke) {
   EXPECT_NE(dis.find("halt"), std::string::npos);
 }
 
+// ---- per-actor mac-loop -----------------------------------------------------
+//
+// typed_compile collapses `for (i) acc = acc + peek(i) [* h[i]]` into the
+// fused trace's mac-loop superinstruction (fused.h), run by TypedBound on the
+// shared checked kernel (mac_loop.h).  Outputs, OpCounts, error text and the
+// counts at the point of an error must all match the tree.
+
+// One mac-loop (or sum-loop) over [lo, hi) with step `step`, a declared
+// window of `peek`, and `ncoef` double coefficients.
+ir::FilterSpec mac_filter(int peek, int lo, int hi, int step, bool coef,
+                          int ncoef = 8) {
+  std::vector<Value> h;
+  for (int i = 0; i < ncoef; ++i) h.emplace_back(0.25 * i - 0.6);
+  const E term = coef ? peek_(v("i")) * at("h", v("i")) : peek_(v("i"));
+  return filter("mac")
+      .rates(peek, 1, 1)
+      .array_init("h", h)
+      .work({let("acc", c(0.0)),
+             ir::for_loop_step("i", ir::iconst(lo), ir::iconst(hi),
+                               ir::iconst(step), let("acc", v("acc") + term)),
+             push_(v("acc")), discard(1)})
+      .build();
+}
+
+// Presents the input shifted by `offset` items, as a peeking-fission
+// replica sees the duplicated stream (parallel/transforms.cc OffsetIn).
+class ShiftedIn final : public ir::InTape {
+ public:
+  ShiftedIn(ir::InTape& in, int offset) : in_(in), offset_(offset) {}
+  double peek_item(int i) override { return in_.peek_item(offset_ + pops_ + i); }
+  double pop_item() override { return in_.peek_item(offset_ + pops_++); }
+
+ private:
+  ir::InTape& in_;
+  int offset_;
+  int pops_{0};
+};
+
+struct MacRun {
+  std::vector<double> out;
+  OpCounts counts;
+  std::string error;
+};
+
+// Fire `spec` up to `firings` times over `items` input items on the tree or
+// (typed) on the per-actor VM, stopping at the first error.  offset >= 0
+// runs every firing through a ShiftedIn and then pops one item from the
+// underlying channel, the way a fission replica does.
+MacRun run_mac(const ir::FilterSpec& spec, bool typed, int items, int firings,
+               int offset = -1) {
+  Channel in, out;
+  for (int i = 0; i < items; ++i) in.push_item(0.37 * i - 1.0);
+  FilterState st = Interp::init_state(spec);
+  std::unique_ptr<runtime::TypedBound> bound;
+  if (typed) {
+    auto prog = runtime::typed_compile(spec, st);
+    if (prog == nullptr) throw std::logic_error("typed_compile refused");
+    bound = std::make_unique<runtime::TypedBound>(prog, st);
+  }
+  MacRun r;
+  try {
+    for (int t = 0; t < firings; ++t) {
+      ShiftedIn shifted(in, offset);
+      ir::InTape& tape = offset >= 0 ? static_cast<ir::InTape&>(shifted) : in;
+      if (bound) {
+        bound->run_work(tape, out, &r.counts);
+      } else {
+        Interp::run_work(spec, st, tape, out, &r.counts);
+      }
+      if (offset >= 0) in.pop_many(1);
+    }
+  } catch (const std::runtime_error& e) {
+    r.error = e.what();
+  }
+  while (!out.empty()) r.out.push_back(out.pop_item());
+  return r;
+}
+
+void expect_mac_matches_tree(const ir::FilterSpec& spec, int items, int firings,
+                             const std::string& what, int offset = -1) {
+  const MacRun t = run_mac(spec, false, items, firings, offset);
+  const MacRun v = run_mac(spec, true, items, firings, offset);
+  expect_same_doubles(t.out, v.out, what);
+  expect_same_counts(t.counts, v.counts, what);
+  EXPECT_EQ(t.error, v.error) << what;
+}
+
+TEST(VmMacLoop, CollapsesAndMatchesTree) {
+  const struct {
+    const char* what;
+    ir::FilterSpec spec;
+  } cases[] = {
+      {"mac", mac_filter(8, 0, 8, 1, true)},
+      {"sum", mac_filter(8, 0, 8, 1, false)},
+      {"strided mac", mac_filter(8, 1, 8, 3, true)},
+      {"zero-trip", mac_filter(8, 5, 5, 1, true)},
+  };
+  for (const bool debug : {false, true}) {
+    runtime::set_debug_channel_checks(debug);
+    for (const auto& c : cases) {
+      const std::string what =
+          std::string(c.what) + (debug ? " (debug checks)" : "");
+      FilterState st = Interp::init_state(c.spec);
+      const auto prog = runtime::typed_compile(c.spec, st);
+      ASSERT_NE(prog, nullptr) << what;
+      EXPECT_EQ(prog->macs.size(), 1u) << what;
+      expect_mac_matches_tree(c.spec, 40, 30, what);
+    }
+  }
+  runtime::set_debug_channel_checks(false);
+}
+
+TEST(VmMacLoop, ErrorsMatchTreeWithPartialCounts) {
+  struct Restore {
+    ~Restore() { runtime::set_debug_channel_checks(false); }
+  } restore;
+  // Debug window check: the loop runs to 6 over a declared window of 4.
+  runtime::set_debug_channel_checks(true);
+  const MacRun dbg = run_mac(mac_filter(4, 0, 6, 1, true), true, 40, 3);
+  EXPECT_EQ(dbg.error,
+            "peek out of bounds in 'mac': peek(4) after 0 pop(s) exceeds the "
+            "declared window of 4");
+  expect_mac_matches_tree(mac_filter(4, 0, 6, 1, true), 40, 3, "debug window");
+  runtime::set_debug_channel_checks(false);
+  // The channel runs dry inside the loop of the third firing.
+  const MacRun dry = run_mac(mac_filter(8, 0, 8, 1, true), true, 9, 3);
+  EXPECT_EQ(dry.error, "peek(7) beyond channel contents (7)");
+  expect_mac_matches_tree(mac_filter(8, 0, 8, 1, true), 9, 3, "channel underflow");
+  // The coefficient array is shorter than the loop.
+  const MacRun arr = run_mac(mac_filter(8, 0, 8, 1, true, 5), true, 40, 3);
+  EXPECT_EQ(arr.error, "array index out of bounds: h[5]");
+  expect_mac_matches_tree(mac_filter(8, 0, 8, 1, true, 5), 40, 3, "coefficient bounds");
+}
+
+TEST(VmMacLoop, ReplicaThroughOffsetTapeMatchesTree) {
+  for (const int offset : {0, 2, 3}) {
+    expect_mac_matches_tree(mac_filter(6, 0, 6, 1, true), 60, 40,
+                            "offset " + std::to_string(offset), offset);
+    expect_mac_matches_tree(mac_filter(6, 1, 6, 2, false), 60, 40,
+                            "sum offset " + std::to_string(offset), offset);
+  }
+}
+
+TEST(VmMacLoop, IntCoefficientsStayUnrolled) {
+  // The raw kernel needs double coefficients; an int array keeps the loop
+  // as bytecode instead of refusing the filter.
+  auto spec = filter("imac")
+                  .rates(4, 1, 1)
+                  .array_init("h", {Value{1}, Value{-2}, Value{3}, Value{4}})
+                  .work({let("acc", c(0.0)),
+                         for_("i", 0, 4,
+                              let("acc", v("acc") + peek_(v("i")) * at("h", v("i")))),
+                         push_(v("acc")), discard(1)})
+                  .build();
+  FilterState st = Interp::init_state(spec);
+  std::string why;
+  const auto prog = runtime::typed_compile(spec, st, &why);
+  ASSERT_NE(prog, nullptr) << why;
+  EXPECT_TRUE(prog->macs.empty());
+  expect_mac_matches_tree(spec, 30, 20, "int coefficients");
+}
+
 // ---- ring-buffer channel ----------------------------------------------------
 
 TEST(RingChannel, FifoAcrossWraparound) {
