@@ -2,8 +2,8 @@
 
 #include "analysis/constprop.h"
 #include "analysis/definite_init.h"
-#include "analysis/graph_checks.h"
 #include "analysis/intervals.h"
+#include "analysis/verify.h"
 #include "ir/validate.h"
 
 namespace sit::analysis {
@@ -42,7 +42,8 @@ AnalysisResult analyze(const ir::NodeP& root) {
   });
 
   if (structural_ok) {
-    check_graph(root, r.diagnostics);
+    const std::vector<Diagnostic> ds = verify_graph(root);
+    r.diagnostics.insert(r.diagnostics.end(), ds.begin(), ds.end());
   }
   return r;
 }

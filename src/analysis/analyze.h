@@ -6,9 +6,11 @@
 //      rule, handler purity, instance uniqueness);
 //   2. per-filter dataflow passes: constant folding (div/mod-by-zero),
 //      peek/array interval bounds, definite initialization & dead state;
-//   3. graph-level consistency: balance-equation solvability and
-//      feedback-loop init liveness (skipped when step 1 found errors --
-//      a malformed graph rarely flattens meaningfully).
+//   3. the semantic verifier (verify.h) on the flattened graph: structure,
+//      splitjoin weights, state ownership, and the SDF solver's rate, order
+//      and init/steady liveness checks -- the same derivation make_schedule
+//      uses (skipped when step 1 found errors -- a malformed graph rarely
+//      flattens meaningfully).
 //
 // Every finding is a Diagnostic; errors mean the program would misbehave or
 // crash under the interpreter, warnings are advisory (dead state, maybe-

@@ -1,7 +1,5 @@
 #include "analysis/bounds_chan.h"
 
-#include <algorithm>
-
 namespace sit::analysis {
 
 using runtime::FlatActor;
@@ -23,55 +21,6 @@ std::int64_t rate_outof(const FlatActor& a, int edge) {
     if (a.out_edges[p] == edge) return a.out_rate[p];
   }
   return 0;
-}
-
-// Data-driven in-order simulation of one epoch (the executors' run_epoch,
-// firing for firing): each sweep walks the topo order and fires every actor
-// as often as its remaining quota and input levels allow.  Levels and peaks
-// update per firing, so the recorded peak is the same quantity the channels'
-// note_high_water() samples at firing boundaries.
-void simulate_epoch(const FlatGraph& g, const Schedule& s,
-                    const std::vector<std::int64_t>& quota_in,
-                    std::vector<std::int64_t>& level,
-                    std::vector<std::int64_t>& peak) {
-  std::vector<std::int64_t> quota = quota_in;
-  const auto can_fire = [&](int actor) {
-    const FlatActor& a = g.actors[static_cast<std::size_t>(actor)];
-    for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
-      const int e = a.in_edges[p];
-      if (e < 0) continue;
-      std::int64_t want = a.in_rate[p];
-      if (a.is_filter()) want += a.peek_extra;
-      if (level[static_cast<std::size_t>(e)] < want) return false;
-    }
-    return true;
-  };
-  const auto fire = [&](int actor) {
-    const FlatActor& a = g.actors[static_cast<std::size_t>(actor)];
-    for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
-      const int e = a.in_edges[p];
-      if (e >= 0) level[static_cast<std::size_t>(e)] -= a.in_rate[p];
-    }
-    for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
-      const int e = a.out_edges[p];
-      if (e < 0) continue;
-      const auto ei = static_cast<std::size_t>(e);
-      level[ei] += a.out_rate[p];
-      peak[ei] = std::max(peak[ei], level[ei]);
-    }
-  };
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int actor : s.order) {
-      const auto ai = static_cast<std::size_t>(actor);
-      while (quota[ai] > 0 && can_fire(actor)) {
-        fire(actor);
-        --quota[ai];
-        progress = true;
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -103,35 +52,12 @@ ChannelBounds channel_bounds(const FlatGraph& g, const Schedule& s) {
                     static_cast<int>(e));
     b.post_init[e] = l0;
     b.traffic[e] = s.edge_traffic[e];
+    b.in_order[e] = s.buffer_bound[e];
     b.steady_single[e] =
         l0 + (pos[static_cast<std::size_t>(ed.src)] <
                       pos[static_cast<std::size_t>(ed.dst)]
                   ? s.edge_traffic[e]
                   : 0);
-  }
-
-  // In-order peak: init epoch plus two steady states (levels return to L0
-  // after every steady state, so two prove the peak is periodic).
-  {
-    std::vector<std::int64_t> level(m, 0);
-    std::vector<std::int64_t> peak(m, 0);
-    for (std::size_t e = 0; e < m; ++e) {
-      level[e] = static_cast<std::int64_t>(g.edges[e].initial_items.size());
-      peak[e] = level[e];
-    }
-    if (g.input_edge >= 0) {
-      level[static_cast<std::size_t>(g.input_edge)] += s.input_for_init;
-    }
-    simulate_epoch(g, s, s.init_fires, level, peak);
-    for (int epoch = 0; epoch < 2; ++epoch) {
-      if (g.input_edge >= 0) {
-        level[static_cast<std::size_t>(g.input_edge)] += s.input_per_steady;
-      }
-      simulate_epoch(g, s, s.reps, level, peak);
-    }
-    for (std::size_t e = 0; e < m; ++e) {
-      if (b.post_init[e] >= 0) b.in_order[e] = peak[e];
-    }
   }
 
   // Single-appearance admissibility, generalized over the batch factor B:

@@ -5,46 +5,23 @@
 #include <string>
 #include <vector>
 
-#include "sched/rational.h"
+#include "analysis/sdf.h"
 
 namespace sit::analysis {
 
 using runtime::FlatActor;
 using runtime::FlatEdge;
 using runtime::FlatGraph;
-using sched::Rat;
 
-namespace {
-
-Diagnostic verr(const char* code, std::string where, std::string message,
-                std::string detail = {}) {
+Diagnostic verify_error(const char* code, std::string where,
+                        std::string message, std::string detail) {
   Diagnostic d = error("verify", std::move(where), std::move(message),
                        std::move(detail));
   d.code = code;
   return d;
 }
 
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
-std::int64_t out_rate(const FlatGraph& g, const FlatEdge& e) {
-  if (e.src < 0) return 0;
-  return g.actors[static_cast<std::size_t>(e.src)]
-      .out_rate[static_cast<std::size_t>(e.src_port)];
-}
-
-std::int64_t in_rate(const FlatGraph& g, const FlatEdge& e) {
-  if (e.dst < 0) return 0;
-  return g.actors[static_cast<std::size_t>(e.dst)]
-      .in_rate[static_cast<std::size_t>(e.dst_port)];
-}
-
-std::int64_t peek_extra(const FlatGraph& g, const FlatEdge& e) {
-  if (e.dst < 0) return 0;
-  const FlatActor& a = g.actors[static_cast<std::size_t>(e.dst)];
-  return a.is_filter() ? a.peek_extra : 0;
-}
+namespace {
 
 // ---- V-STRUCT: flat-graph well-formedness -----------------------------------
 
@@ -59,22 +36,23 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
     const FlatEdge& e = g.edges[static_cast<std::size_t>(ei)];
     const std::string name = "edge " + std::to_string(ei);
     if (e.src < -1 || e.src >= n || e.dst < -1 || e.dst >= n) {
-      out.push_back(verr("V-STRUCT", name, "endpoint actor index out of range",
-                         "src " + std::to_string(e.src) + ", dst " +
-                             std::to_string(e.dst) + ", " +
-                             std::to_string(n) + " actors"));
+      out.push_back(verify_error("V-STRUCT", name,
+                                 "endpoint actor index out of range",
+                                 "src " + std::to_string(e.src) + ", dst " +
+                                     std::to_string(e.dst) + ", " +
+                                     std::to_string(n) + " actors"));
       continue;
     }
     if (e.src == -1 && e.dst == -1) {
-      out.push_back(verr("V-STRUCT", name,
-                         "edge has neither a producer nor a consumer"));
+      out.push_back(verify_error("V-STRUCT", name,
+                                 "edge has neither a producer nor a consumer"));
       continue;
     }
     if (e.src == -1) {
       if (input >= 0) {
-        out.push_back(verr("V-STRUCT", name,
-                           "more than one external input edge",
-                           "also edge " + std::to_string(input)));
+        out.push_back(verify_error("V-STRUCT", name,
+                                   "more than one external input edge",
+                                   "also edge " + std::to_string(input)));
       }
       input = ei;
     } else {
@@ -82,7 +60,7 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
       if (e.src_port < 0 ||
           e.src_port >= static_cast<int>(a.out_edges.size()) ||
           a.out_edges[static_cast<std::size_t>(e.src_port)] != ei) {
-        out.push_back(verr(
+        out.push_back(verify_error(
             "V-STRUCT", name,
             "producer port table disagrees with the edge",
             "actor '" + a.name + "' port " + std::to_string(e.src_port)));
@@ -90,16 +68,16 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
     }
     if (e.dst == -1) {
       if (output >= 0) {
-        out.push_back(verr("V-STRUCT", name,
-                           "more than one external output edge",
-                           "also edge " + std::to_string(output)));
+        out.push_back(verify_error("V-STRUCT", name,
+                                   "more than one external output edge",
+                                   "also edge " + std::to_string(output)));
       }
       output = ei;
     } else {
       const FlatActor& a = g.actors[static_cast<std::size_t>(e.dst)];
       if (e.dst_port < 0 || e.dst_port >= static_cast<int>(a.in_edges.size()) ||
           a.in_edges[static_cast<std::size_t>(e.dst_port)] != ei) {
-        out.push_back(verr(
+        out.push_back(verify_error(
             "V-STRUCT", name,
             "consumer port table disagrees with the edge",
             "actor '" + a.name + "' port " + std::to_string(e.dst_port)));
@@ -107,24 +85,24 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
     }
   }
   if (g.input_edge != input) {
-    out.push_back(verr("V-STRUCT", "<graph>",
-                       "input_edge field does not match the edge list",
-                       "field says " + std::to_string(g.input_edge) +
-                           ", edges say " + std::to_string(input)));
+    out.push_back(verify_error("V-STRUCT", "<graph>",
+                               "input_edge field does not match the edge list",
+                               "field says " + std::to_string(g.input_edge) +
+                                   ", edges say " + std::to_string(input)));
   }
   if (g.output_edge != output) {
-    out.push_back(verr("V-STRUCT", "<graph>",
-                       "output_edge field does not match the edge list",
-                       "field says " + std::to_string(g.output_edge) +
-                           ", edges say " + std::to_string(output)));
+    out.push_back(verify_error("V-STRUCT", "<graph>",
+                               "output_edge field does not match the edge list",
+                               "field says " + std::to_string(g.output_edge) +
+                                   ", edges say " + std::to_string(output)));
   }
 
   for (int ai = 0; ai < n; ++ai) {
     const FlatActor& a = g.actors[static_cast<std::size_t>(ai)];
     if (a.in_rate.size() != a.in_edges.size() ||
         a.out_rate.size() != a.out_edges.size()) {
-      out.push_back(verr("V-STRUCT", a.name,
-                         "rate arrays do not match the port counts"));
+      out.push_back(verify_error("V-STRUCT", a.name,
+                                 "rate arrays do not match the port counts"));
       continue;
     }
     bool ports_ok = true;
@@ -134,13 +112,13 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
           (e >= 0 && (g.edges[static_cast<std::size_t>(e)].dst != ai ||
                       g.edges[static_cast<std::size_t>(e)].dst_port !=
                           static_cast<int>(p)))) {
-        out.push_back(verr("V-STRUCT", a.name,
-                           "input port " + std::to_string(p) +
-                               " does not point back at this actor"));
+        out.push_back(verify_error("V-STRUCT", a.name,
+                                   "input port " + std::to_string(p) +
+                                       " does not point back at this actor"));
         ports_ok = false;
       }
       if (a.in_rate[p] < 0) {
-        out.push_back(verr("V-STRUCT", a.name, "negative input rate"));
+        out.push_back(verify_error("V-STRUCT", a.name, "negative input rate"));
       }
     }
     for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
@@ -149,13 +127,13 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
           (e >= 0 && (g.edges[static_cast<std::size_t>(e)].src != ai ||
                       g.edges[static_cast<std::size_t>(e)].src_port !=
                           static_cast<int>(p)))) {
-        out.push_back(verr("V-STRUCT", a.name,
-                           "output port " + std::to_string(p) +
-                               " does not point back at this actor"));
+        out.push_back(verify_error("V-STRUCT", a.name,
+                                   "output port " + std::to_string(p) +
+                                       " does not point back at this actor"));
         ports_ok = false;
       }
       if (a.out_rate[p] < 0) {
-        out.push_back(verr("V-STRUCT", a.name, "negative output rate"));
+        out.push_back(verify_error("V-STRUCT", a.name, "negative output rate"));
       }
     }
     if (!ports_ok) continue;
@@ -163,27 +141,30 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
       case FlatActor::Kind::Filter:
       case FlatActor::Kind::Native:
         if (a.in_edges.size() > 1 || a.out_edges.size() > 1) {
-          out.push_back(verr("V-STRUCT", a.name,
-                             "filter with more than one input or output"));
+          out.push_back(verify_error(
+              "V-STRUCT", a.name, "filter with more than one input or output"));
         }
         if (a.node == nullptr) {
-          out.push_back(verr("V-STRUCT", a.name,
-                             "filter actor lost its defining graph node"));
+          out.push_back(verify_error(
+              "V-STRUCT", a.name, "filter actor lost its defining graph node"));
         }
         if (a.peek_extra < 0) {
-          out.push_back(verr("V-STRUCT", a.name, "negative peek window"));
+          out.push_back(
+              verify_error("V-STRUCT", a.name, "negative peek window"));
         }
         break;
       case FlatActor::Kind::Splitter:
         if (a.in_edges.size() != 1) {
           out.push_back(
-              verr("V-STRUCT", a.name, "splitter must have exactly one input"));
+              verify_error("V-STRUCT", a.name,
+                           "splitter must have exactly one input"));
         }
         break;
       case FlatActor::Kind::Joiner:
         if (a.out_edges.size() != 1) {
           out.push_back(
-              verr("V-STRUCT", a.name, "joiner must have exactly one output"));
+              verify_error("V-STRUCT", a.name,
+                           "joiner must have exactly one output"));
         }
         break;
     }
@@ -200,13 +181,13 @@ void check_splitjoins(const FlatGraph& g, std::vector<Diagnostic>& out) {
         bool ok = a.in_rate[0] == 1;
         for (int r : a.out_rate) ok = ok && r == 1;
         if (!ok) {
-          out.push_back(verr("V-SJ", a.name,
-                             "duplicate splitter must be 1 -> 1 per branch"));
+          out.push_back(verify_error(
+              "V-SJ", a.name, "duplicate splitter must be 1 -> 1 per branch"));
         }
       } else {
         const int sum = std::accumulate(a.out_rate.begin(), a.out_rate.end(), 0);
         if (a.in_rate[0] != sum) {
-          out.push_back(verr(
+          out.push_back(verify_error(
               "V-SJ", a.name,
               "splitter consumption does not equal the sum of branch weights",
               "consumes " + std::to_string(a.in_rate[0]) +
@@ -216,7 +197,7 @@ void check_splitjoins(const FlatGraph& g, std::vector<Diagnostic>& out) {
     } else if (a.kind == FlatActor::Kind::Joiner) {
       const int sum = std::accumulate(a.in_rate.begin(), a.in_rate.end(), 0);
       if (a.out_rate[0] != sum) {
-        out.push_back(verr(
+        out.push_back(verify_error(
             "V-SJ", a.name,
             "joiner production does not equal the sum of branch weights",
             "produces " + std::to_string(a.out_rate[0]) +
@@ -224,111 +205,6 @@ void check_splitjoins(const FlatGraph& g, std::vector<Diagnostic>& out) {
       }
     }
   }
-}
-
-// ---- V-RATES: balance equations ---------------------------------------------
-
-// Propagates relative firing rates over the rationals (the same algorithm as
-// sched's solve_balance); reports instead of throwing.  Empty on error.
-std::vector<std::int64_t> check_rates(const FlatGraph& g,
-                                      std::vector<Diagnostic>& out) {
-  const std::size_t n = g.actors.size();
-  std::vector<Rat> r(n, Rat(0));
-  std::vector<bool> seen(n, false);
-  for (std::size_t start = 0; start < n; ++start) {
-    if (seen[start]) continue;
-    seen[start] = true;
-    r[start] = Rat(1);
-    std::vector<std::size_t> stack{start};
-    while (!stack.empty()) {
-      const std::size_t a = stack.back();
-      stack.pop_back();
-      for (const FlatEdge& e : g.edges) {
-        if (e.src < 0 || e.dst < 0) continue;
-        const auto su = static_cast<std::size_t>(e.src);
-        const auto sv = static_cast<std::size_t>(e.dst);
-        if (su != a && sv != a) continue;
-        const std::int64_t o = out_rate(g, e);
-        const std::int64_t i = in_rate(g, e);
-        if (o == 0 && i == 0) continue;
-        if (o == 0 || i == 0) {
-          out.push_back(verr("V-RATES",
-                             g.actors[su].name + " -> " + g.actors[sv].name,
-                             "zero-rate endpoint on a channel carrying data",
-                             "producer rate " + std::to_string(o) +
-                                 ", consumer rate " + std::to_string(i)));
-          return {};
-        }
-        const std::size_t other = (su == a) ? sv : su;
-        const Rat want = (su == a) ? r[a] * Rat(o, i) : r[a] * Rat(i, o);
-        if (!seen[other]) {
-          seen[other] = true;
-          r[other] = want;
-          stack.push_back(other);
-        } else if (r[other] != want) {
-          out.push_back(verr(
-              "V-RATES", g.actors[other].name,
-              "inconsistent rates: the balance equations have no solution",
-              "actor '" + g.actors[other].name +
-                  "' would have to fire at two different relative rates"));
-          return {};
-        }
-      }
-    }
-  }
-  std::int64_t l = 1;
-  for (const Rat& x : r) l = std::lcm(l, x.den());
-  std::vector<std::int64_t> reps(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    reps[i] = r[i].num() * (l / r[i].den());
-    if (reps[i] <= 0) {
-      out.push_back(verr("V-RATES", g.actors[i].name,
-                         "non-positive steady-state multiplicity",
-                         "actor is disconnected from all data flow"));
-      return {};
-    }
-  }
-  return reps;
-}
-
-// ---- V-ORDER: dag-ness of the partition order -------------------------------
-
-bool check_order(const FlatGraph& g, std::vector<Diagnostic>& out) {
-  const std::size_t n = g.actors.size();
-  std::vector<int> indeg(n, 0);
-  for (const FlatEdge& e : g.edges) {
-    if (e.src >= 0 && e.dst >= 0 && !e.back_edge) {
-      ++indeg[static_cast<std::size_t>(e.dst)];
-    }
-  }
-  std::vector<std::size_t> ready;
-  for (std::size_t a = 0; a < n; ++a) {
-    if (indeg[a] == 0) ready.push_back(a);
-  }
-  std::size_t done = 0;
-  while (!ready.empty()) {
-    const std::size_t a = ready.back();
-    ready.pop_back();
-    ++done;
-    for (const FlatEdge& e : g.edges) {
-      if (e.src != static_cast<int>(a) || e.dst < 0 || e.back_edge) continue;
-      if (--indeg[static_cast<std::size_t>(e.dst)] == 0) {
-        ready.push_back(static_cast<std::size_t>(e.dst));
-      }
-    }
-  }
-  if (done == n) return true;
-  std::string cycle;
-  for (std::size_t a = 0; a < n; ++a) {
-    if (indeg[a] == 0) continue;
-    if (!cycle.empty()) cycle += ", ";
-    cycle += g.actors[a].name;
-  }
-  out.push_back(verr("V-ORDER", "<graph>",
-                     "forward edges form a cycle: no topological partition "
-                     "order exists",
-                     "cycle members: " + cycle));
-  return false;
 }
 
 // ---- V-STATE: state ownership -----------------------------------------------
@@ -340,125 +216,11 @@ void check_state_ownership(const FlatGraph& g, std::vector<Diagnostic>& out) {
     if (!fa.is_filter() || fa.node == nullptr) continue;
     const auto [it, inserted] = owner.emplace(fa.node, a);
     if (!inserted) {
-      out.push_back(verr(
+      out.push_back(verify_error(
           "V-STATE", fa.name,
           "filter state referenced by two actors (rewrite failed to clone)",
           "also owned by actor '" + g.actors[it->second].name + "'"));
     }
-  }
-}
-
-// ---- V-SCHED: deadlock freedom ----------------------------------------------
-
-// Init-epoch relaxation: each round propagates init demand upstream; if it
-// never converges, a feedback loop's delay cannot cover its own init demand
-// and every channel bound would be infinite.
-std::vector<std::int64_t> check_init(const FlatGraph& g,
-                                     const std::vector<std::int64_t>& reps,
-                                     std::vector<Diagnostic>& out) {
-  (void)reps;
-  const std::size_t n = g.actors.size();
-  std::vector<std::int64_t> fires(n, 0);
-  bool changed = true;
-  std::int64_t rounds = 0;
-  const std::int64_t cap = static_cast<std::int64_t>(n) * 64 + 1024;
-  while (changed) {
-    changed = false;
-    if (++rounds > cap) {
-      out.push_back(verr("V-SCHED", "<init schedule>",
-                         "initialization does not converge: feedback delay "
-                         "is too small for the loop's init demand"));
-      return {};
-    }
-    for (const FlatEdge& e : g.edges) {
-      if (e.dst < 0) continue;
-      const std::int64_t need =
-          fires[static_cast<std::size_t>(e.dst)] * in_rate(g, e) +
-          peek_extra(g, e) - static_cast<std::int64_t>(e.initial_items.size());
-      if (need <= 0 || e.src < 0) continue;
-      const std::int64_t o = out_rate(g, e);
-      if (o == 0) {
-        out.push_back(verr(
-            "V-SCHED", g.actors[static_cast<std::size_t>(e.src)].name,
-            "must provide initialization items but produces none",
-            "downstream actor '" +
-                g.actors[static_cast<std::size_t>(e.dst)].name + "' needs " +
-                std::to_string(need) + " item(s) before its first firing"));
-        return {};
-      }
-      const std::int64_t want = ceil_div(need, o);
-      auto& f = fires[static_cast<std::size_t>(e.src)];
-      if (want > f) {
-        f = want;
-        changed = true;
-      }
-    }
-  }
-  return fires;
-}
-
-// Steady-epoch admissibility from the post-init marking: if no data-driven
-// order completes one steady state, the runtime deadlocks (and no finite
-// buffer bound exists).  One completed epoch restores the marking, so one
-// epoch of progress proves every epoch runs.
-void check_steady(const FlatGraph& g, const std::vector<std::int64_t>& reps,
-                  const std::vector<std::int64_t>& init_fires,
-                  std::vector<Diagnostic>& out) {
-  const std::size_t n = g.actors.size();
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += reps[i];
-  if (total > (1 << 20)) return;  // pathological blow-up: skip the simulation
-
-  std::vector<std::int64_t> tok(g.edges.size(), 0);
-  for (std::size_t i = 0; i < g.edges.size(); ++i) {
-    const FlatEdge& e = g.edges[i];
-    tok[i] = static_cast<std::int64_t>(e.initial_items.size());
-    if (e.src >= 0) {
-      tok[i] += init_fires[static_cast<std::size_t>(e.src)] * out_rate(g, e);
-    }
-    if (e.dst >= 0) {
-      tok[i] -= init_fires[static_cast<std::size_t>(e.dst)] * in_rate(g, e);
-    }
-  }
-
-  std::vector<std::int64_t> remaining = reps;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t a = 0; a < n; ++a) {
-      while (remaining[a] > 0) {
-        bool ok = true;
-        for (std::size_t i = 0; i < g.edges.size(); ++i) {
-          const FlatEdge& e = g.edges[i];
-          if (e.dst != static_cast<int>(a) || e.src < 0) continue;
-          if (tok[i] < in_rate(g, e) + peek_extra(g, e)) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) break;
-        for (std::size_t i = 0; i < g.edges.size(); ++i) {
-          const FlatEdge& e = g.edges[i];
-          if (e.dst == static_cast<int>(a)) tok[i] -= in_rate(g, e);
-          if (e.src == static_cast<int>(a)) tok[i] += out_rate(g, e);
-        }
-        --remaining[a];
-        progress = true;
-      }
-    }
-  }
-
-  std::string stuck;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (remaining[i] <= 0) continue;
-    if (!stuck.empty()) stuck += ", ";
-    stuck += g.actors[i].name;
-  }
-  if (!stuck.empty()) {
-    out.push_back(verr("V-SCHED", "<steady schedule>",
-                       "steady state deadlocks: no schedule exists from the "
-                       "post-init channel marking",
-                       "stuck actors: " + stuck));
   }
 }
 
@@ -469,14 +231,7 @@ std::vector<Diagnostic> verify_flat(const FlatGraph& g) {
   if (!check_structure(g, out)) return out;  // indices unsafe beyond here
   check_splitjoins(g, out);
   check_state_ownership(g, out);
-  const bool dag = check_order(g, out);
-  const std::vector<std::int64_t> reps = check_rates(g, out);
-  if (dag && !reps.empty()) {
-    const std::vector<std::int64_t> init = check_init(g, reps, out);
-    if (!init.empty() || g.actors.empty()) {
-      check_steady(g, reps, init, out);
-    }
-  }
+  (void)solve_schedule(g, out);  // V-RATES, V-ORDER, V-SCHED
   return out;
 }
 
@@ -486,8 +241,8 @@ std::vector<Diagnostic> verify_graph(const ir::NodeP& root) {
     g = runtime::flatten(root);
   } catch (const std::exception& ex) {
     std::vector<Diagnostic> out;
-    out.push_back(verr("V-STRUCT", root ? root->name : "<root>",
-                       "graph does not flatten", ex.what()));
+    out.push_back(verify_error("V-STRUCT", root ? root->name : "<root>",
+                               "graph does not flatten", ex.what()));
     return out;
   }
   return verify_flat(g);

@@ -29,13 +29,20 @@
 //             two flat actors -- every legitimate rewrite clones, so an
 //             aliased node means two partitions would share mutable state.
 //   V-SCHED   deadlock freedom: the initialization epoch converges and the
-//             steady state admits a schedule (so every static channel bound
+//             init and steady epochs complete (so every static channel bound
 //             is finite).
+//
+// V-STRUCT, V-SJ and V-STATE are checked here, independently of the passes
+// being verified.  V-RATES, V-ORDER and V-SCHED are the SDF solver's own
+// diagnostics (analysis/sdf.h): the verifier accepts a graph exactly when
+// make_schedule can schedule it, and the analysis gate (analyze.h step 3)
+// runs this verifier too.
 //
 // verify_flat takes an already-flattened graph (mutation tests corrupt flat
 // graphs directly); verify_graph flattens a hierarchical program first and
 // reports a flattening failure as V-STRUCT.
 
+#include <string>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -43,6 +50,10 @@
 #include "runtime/flatgraph.h"
 
 namespace sit::analysis {
+
+// An error of pass "verify" carrying one of the codes above.
+Diagnostic verify_error(const char* code, std::string where,
+                        std::string message, std::string detail = {});
 
 // All diagnostics carry pass = "verify" and one of the codes above.
 std::vector<Diagnostic> verify_flat(const runtime::FlatGraph& g);

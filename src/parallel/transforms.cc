@@ -51,11 +51,14 @@ bool subtree_peeks(const NodeP& node) {
 namespace {
 
 // Per-instance state of a fused filter: a private executor over the fused
-// subtree's program.  The subtree is validated, flattened and scheduled once
-// (in fuse_subtree); every instance and every clone shares that read-only
-// program and builds only its own executor storage.  The first firing also
-// absorbs the subtree's initialization epoch (which needs `init_in` extra
-// input items, declared as the fused filter's extra peek window).
+// subtree's program.  The subtree is flattened and scheduled once (in
+// fuse_subtree) and not re-gated: it belongs to a graph the analysis gate
+// already accepted, and make_schedule still throws if the subtree cannot be
+// scheduled on its own.  Every instance and every clone shares that
+// read-only program and builds only its own executor storage.  The first
+// firing also absorbs the subtree's initialization epoch (which needs
+// `init_in` extra input items, declared as the fused filter's extra peek
+// window).
 class FusedState final : public ir::NativeState {
  public:
   using ProgramP = std::shared_ptr<const sched::CompiledProgram>;
@@ -77,10 +80,14 @@ class FusedState final : public ir::NativeState {
 }  // namespace
 
 NodeP fuse_subtree(const NodeP& node, const std::string& name) {
-  // Lower the subtree in isolation (its external rates come from its
-  // schedule); every instance of the fused filter runs this one program.
-  const FusedState::ProgramP prog =
-      std::make_shared<const sched::CompiledProgram>(sched::lower(ir::clone(node)));
+  // Flatten and schedule the subtree in isolation (its external rates come
+  // from its schedule); every instance of the fused filter runs this one
+  // program.
+  auto built = std::make_shared<sched::CompiledProgram>();
+  built->graph = ir::clone(node);
+  built->flat = runtime::flatten(built->graph);
+  built->schedule = sched::make_schedule(built->flat);
+  const FusedState::ProgramP prog = std::move(built);
   const runtime::FlatGraph& g = prog->flat;
   const sched::Schedule& s = prog->schedule;
   const int P = static_cast<int>(s.input_per_steady);

@@ -319,7 +319,14 @@ std::vector<int> FlatGraph::topo_order() const {
     }
   }
   if (order.size() != n) {
-    throw std::runtime_error("stream graph contains a cycle outside a feedback loop");
+    std::string cycle;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (indeg[i] == 0) continue;
+      cycle += (cycle.empty() ? "" : ", ") + actors[i].name;
+    }
+    throw std::runtime_error(
+        "stream graph contains a cycle outside a feedback loop; cycle "
+        "members: " + cycle);
   }
   return order;
 }

@@ -9,6 +9,10 @@
 //     every steady state can execute with each actor firing exactly its
 //     repetition count;
 //   * per-edge steady-state traffic and buffer bounds.
+//
+// The derivation itself is analysis::solve_schedule (analysis/sdf.h), the
+// one solver the analysis gate, the verifier and the channel bounds share;
+// make_schedule is its throwing form.
 
 #include <cstdint>
 #include <string>
@@ -41,8 +45,9 @@ struct Schedule {
   [[nodiscard]] std::string describe(const runtime::FlatGraph& g) const;
 };
 
-// Computes the schedule; throws std::runtime_error on inconsistent rates
-// (no valid steady state) or on init-epoch deadlock.
+// Computes the schedule; throws std::runtime_error carrying the rendered
+// V-RATES / V-ORDER / V-SCHED diagnostics when none exists (inconsistent
+// rates, a forward cycle, a diverging init epoch or a deadlocking epoch).
 Schedule make_schedule(const runtime::FlatGraph& g);
 
 }  // namespace sit::sched

@@ -1,5 +1,6 @@
 #include "sdep/sdep.h"
 
+#include <optional>
 #include <stdexcept>
 
 namespace sit::sdep {
@@ -165,45 +166,28 @@ std::int64_t filter_min_transfer(int peek, int pop, int push, std::int64_t x) {
 // ---- verification -----------------------------------------------------------------
 
 std::vector<LoopCheck> check_feedback_loops(const FlatGraph& g) {
+  // One schedule answers every loop: make_schedule throws when the rates are
+  // inconsistent or the init epoch or a steady state cannot complete.
+  std::optional<sched::Schedule> s;
+  try {
+    s = sched::make_schedule(g);
+  } catch (const std::exception&) {
+  }
   std::vector<LoopCheck> out;
   for (std::size_t ei = 0; ei < g.edges.size(); ++ei) {
     const auto& back = g.edges[ei];
     if (!back.back_edge) continue;
     LoopCheck chk;
     chk.loop_name = g.actors[static_cast<std::size_t>(back.dst)].name;
-    // The joiner consumes `cons` items from the back edge per steady state
-    // and the loop produces `prod`; the balance equations guarantee equality
-    // in a schedulable graph, so deadlock reduces to: can the init epoch +
-    // one steady state complete given only `delay` initial items?  We reuse
-    // the scheduler's sweep, which throws on deadlock.
-    try {
-      (void)sched::make_schedule(g);
-    } catch (const std::exception&) {
-      chk.deadlock = true;
+    chk.deadlock = !s;
+    if (s) {
+      // Overflow: net growth of the back edge per steady state must be zero.
+      const auto dst = static_cast<std::size_t>(back.dst);
+      const std::int64_t cons =
+          s->reps[dst] *
+          g.actors[dst].in_rate[static_cast<std::size_t>(back.dst_port)];
+      chk.overflow = s->edge_traffic[ei] != cons;
     }
-    // Overflow: net growth of the back edge per steady state must be zero.
-    const auto s_ok = [&]() -> bool {
-      try {
-        const auto s = sched::make_schedule(g);
-        const auto& src_a = g.actors[static_cast<std::size_t>(back.src)];
-        const auto& dst_a = g.actors[static_cast<std::size_t>(back.dst)];
-        std::int64_t prod = 0, cons = 0;
-        for (std::size_t p = 0; p < src_a.out_edges.size(); ++p) {
-          if (src_a.out_edges[p] == static_cast<int>(ei)) {
-            prod = s.reps[static_cast<std::size_t>(back.src)] * src_a.out_rate[p];
-          }
-        }
-        for (std::size_t p = 0; p < dst_a.in_edges.size(); ++p) {
-          if (dst_a.in_edges[p] == static_cast<int>(ei)) {
-            cons = s.reps[static_cast<std::size_t>(back.dst)] * dst_a.in_rate[p];
-          }
-        }
-        return prod == cons;
-      } catch (const std::exception&) {
-        return true;  // deadlock already reported
-      }
-    }();
-    chk.overflow = !s_ok;
     out.push_back(chk);
   }
   return out;

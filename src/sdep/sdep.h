@@ -72,8 +72,12 @@ struct LoopCheck {
 
 // Check every feedback loop: with delay d, the wavefront around the loop must
 // return exactly x + d items (paper: maxloop(x) = x + delay; less means
-// deadlock, more means unbounded buffer growth).  Checked numerically via
-// the sdep relation around the back edge.
+// deadlock, more means unbounded buffer growth).  Checked by solving the
+// graph's schedule once: `deadlock` is set on every loop when make_schedule
+// throws (inconsistent rates, or an init / steady epoch the delays cannot
+// sustain -- one solve does not say which loop is at fault), and `overflow`
+// when a back edge's steady production differs from its consumption, which
+// the balance equations rule out whenever a schedule exists.
 std::vector<LoopCheck> check_feedback_loops(const runtime::FlatGraph& g);
 
 // Check every splitter/joiner pair: branch production must stay within O(1)

@@ -14,7 +14,6 @@
 #include "analysis/analyze.h"
 #include "analysis/constprop.h"
 #include "analysis/definite_init.h"
-#include "analysis/graph_checks.h"
 #include "analysis/intervals.h"
 #include "apps/common.h"
 #include "ir/dsl.h"
@@ -232,7 +231,7 @@ TEST(ConstProp, EnablesLinearExtraction) {
   EXPECT_DOUBLE_EQ(folded.rep->b[0], 0.0);
 }
 
-// ---- graph checks -----------------------------------------------------------
+// ---- graph checks (analyze step 3: the verifier's SDF solver) ---------------
 
 TEST(GraphChecks, RejectsUnsolvableRates) {
   auto doubler = filter("doubler")
@@ -242,8 +241,8 @@ TEST(GraphChecks, RejectsUnsolvableRates) {
   auto sj = ir::make_splitjoin("mismatch", ir::duplicate_split(),
                                ir::roundrobin_join({1, 1}),
                                {identity("thru"), std::move(doubler)});
-  std::vector<Diagnostic> ds;
-  check_graph(wrap(std::move(sj), 1), ds);
+  const std::vector<Diagnostic> ds =
+      analysis::analyze(wrap(std::move(sj), 1)).diagnostics;
   EXPECT_TRUE(any_diag(ds, Severity::Error, "inconsistent rates"));
 }
 
@@ -252,8 +251,8 @@ TEST(GraphChecks, RejectsStarvedFeedbackLoop) {
                                 identity("body"), ir::roundrobin_split({1, 1}),
                                 apps::gain("decay", 0.5), /*delay=*/0,
                                 /*init_path=*/{});
-  std::vector<Diagnostic> ds;
-  check_graph(wrap(std::move(loop), 1), ds);
+  const std::vector<Diagnostic> ds =
+      analysis::analyze(wrap(std::move(loop), 1)).diagnostics;
   EXPECT_TRUE(any_diag(ds, Severity::Error, "deadlock"));
 }
 
@@ -262,8 +261,8 @@ TEST(GraphChecks, AcceptsProperlyDelayedFeedbackLoop) {
                                 identity("body"), ir::roundrobin_split({1, 1}),
                                 apps::gain("decay", 0.5), /*delay=*/1,
                                 /*init_path=*/{0.0});
-  std::vector<Diagnostic> ds;
-  check_graph(wrap(std::move(loop), 1), ds);
+  const std::vector<Diagnostic> ds =
+      analysis::analyze(wrap(std::move(loop), 1)).diagnostics;
   EXPECT_TRUE(ds.empty()) << render(ds);
 }
 

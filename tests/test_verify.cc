@@ -11,15 +11,19 @@
 //   * Property: the static per-edge bounds dominate the observed high-water
 //     occupancy on every app x optimization level x thread count, and match
 //     it exactly on the linear chain apps under the in-order discipline.
+//   * The analysis gate, the verifier and the scheduler share one SDF solver:
+//     on a table of broken graphs (and one valid loop) they reject together.
 //   * SIT_VERIFY parsing and VerifyMode resolution.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/analyze.h"
 #include "analysis/bounds_chan.h"
 #include "analysis/verify.h"
 #include "apps/apps.h"
@@ -30,6 +34,7 @@
 #include "opt/pass_manager.h"
 #include "runtime/flatgraph.h"
 #include "sched/envopts.h"
+#include "sched/schedule.h"
 #include "sched/texec.h"
 
 namespace sit {
@@ -148,6 +153,128 @@ TEST(Verify, StarvedFeedbackLoopIsSchedError) {
                apps::null_sink("sink", 1)});
   const auto ds = analysis::verify_graph(g);
   EXPECT_TRUE(has_code(ds, "V-SCHED")) << analysis::render(ds);
+}
+
+// ---- one solver: gate, verifier and scheduler agree -------------------------
+
+// src -> feedback loop (rr {1,1} joiner and splitter) -> sink, with `delay`
+// zero items on the back edge.
+ir::NodeP loop_program(ir::NodeP body, ir::NodeP arm, int delay) {
+  auto loop = ir::make_feedback(
+      "loop", ir::roundrobin_join({1, 1}), std::move(body),
+      ir::roundrobin_split({1, 1}), std::move(arm), delay,
+      std::vector<double>(static_cast<std::size_t>(delay), 0.0));
+  return ir::make_pipeline("demo", {apps::rand_source("src"), std::move(loop),
+                                    apps::null_sink("sink", 1)});
+}
+
+// Pushes its deepest peek `push` times, then pops `pop`.
+ir::NodeP pass_filter(const char* name, int pop, int peek, int push) {
+  std::vector<ir::StmtP> body;
+  for (int i = 0; i < push; ++i) body.push_back(push_(peek_(ci(peek - 1))));
+  body.push_back(discard(pop));
+  return filter(name).rates(peek, pop, push).work(seq(std::move(body))).node();
+}
+
+struct AgreeCase {
+  const char* name;
+  const char* code;  // expected error code; nullptr when schedulable
+  std::function<ir::NodeP()> make;
+  // Flat-only rows corrupt the flattened graph of a valid program, so
+  // analyze() cannot see the defect and is not asked.
+  std::function<void(runtime::FlatGraph&)> corrupt;
+};
+
+std::vector<AgreeCase> agree_cases() {
+  return {
+      {"unsolvable-splitjoin", "V-RATES",
+       [] {
+         return ir::make_pipeline(
+             "demo", {apps::rand_source("src"),
+                      ir::make_splitjoin("mismatch", ir::duplicate_split(),
+                                         ir::roundrobin_join({1, 1}),
+                                         {identity("thru"),
+                                          pass_filter("doubler", 1, 1, 2)}),
+                      apps::null_sink("sink", 1)});
+       },
+       nullptr},
+      {"zero-rate-endpoint", "V-RATES",
+       [] {
+         return ir::make_pipeline("demo", {apps::rand_source("src"),
+                                           identity("thru"),
+                                           apps::null_sink("sink", 1)});
+       },
+       [](runtime::FlatGraph& g) {  // flatten refuses to build this one
+         for (auto& a : g.actors) {
+           if (a.name == "thru") a.out_rate[0] = 0;
+         }
+       }},
+      {"forward-cycle", "V-ORDER",
+       [] { return loop_program(identity("body"), identity("echo"), 1); },
+       [](runtime::FlatGraph& g) {
+         for (auto& e : g.edges) e.back_edge = false;
+       }},
+      {"delay-0-loop", "V-SCHED",
+       [] {
+         return loop_program(identity("body"), apps::gain("decay", 0.5), 0);
+       },
+       nullptr},
+      {"peeking-loop-delay-0", "V-SCHED",
+       [] {
+         return loop_program(pass_filter("peeker", 1, 2, 1), identity("echo"),
+                             0);
+       },
+       nullptr},
+      {"arm-consumes-2", "V-RATES",
+       [] {
+         return loop_program(pass_filter("body", 2, 2, 2),
+                             pass_filter("arm", 2, 2, 1), 1);
+       },
+       nullptr},
+      {"delayed-loop", nullptr,
+       [] {
+         return loop_program(identity("body"), apps::gain("decay", 0.5), 1);
+       },
+       nullptr},
+  };
+}
+
+TEST(Verify, GateVerifierAndSchedulerAgree) {
+  for (const AgreeCase& c : agree_cases()) {
+    const bool schedulable = c.code == nullptr;
+    const ir::NodeP p = c.make();
+    runtime::FlatGraph g = runtime::flatten(p);
+    if (c.corrupt) c.corrupt(g);
+
+    const auto ds = analysis::verify_flat(g);
+    EXPECT_EQ(analysis::has_errors(ds), !schedulable)
+        << c.name << ":\n" << analysis::render(ds);
+    if (!schedulable) {
+      EXPECT_TRUE(has_code(ds, c.code)) << c.name << ":\n"
+                                        << analysis::render(ds);
+    }
+
+    std::string thrown;
+    try {
+      (void)sched::make_schedule(g);
+    } catch (const std::runtime_error& e) {
+      thrown = e.what();
+    }
+    EXPECT_EQ(thrown.empty(), schedulable) << c.name << ": " << thrown;
+    if (!schedulable) {
+      EXPECT_NE(thrown.find(c.code), std::string::npos)
+          << c.name << ": " << thrown;
+    }
+
+    if (!c.corrupt) {
+      const analysis::AnalysisResult ar = analysis::analyze(p);
+      EXPECT_EQ(ar.ok(), schedulable) << c.name << ":\n" << ar.report();
+      if (!schedulable) {
+        EXPECT_TRUE(has_code(ar.diagnostics, c.code)) << c.name << ":\n"
+                                                      << ar.report();
+      }
+    }
+  }
 }
 
 // ---- seeded mid-pipeline mutations ------------------------------------------
