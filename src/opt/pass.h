@@ -35,7 +35,7 @@ enum class VerifyMode { Auto, Off, Final, Each };
 
 // Knobs shared by the built-in passes.
 struct PassOptions {
-  // Parallelism target for the mapping passes (fission, threaded-prep).
+  // Parallelism target for the mapping passes (fission, coarsen).
   int threads{1};
   // selective-fuse target leaf count; 0 derives max(2, 4 * threads).
   int target_actors{0};

@@ -237,34 +237,12 @@ class FissionPass final : public Pass {
   }
 };
 
-class ThreadedPrepPass final : public Pass {
- public:
-  const char* name() const override { return "threaded-prep"; }
-  const char* description() const override {
-    return "shape the graph for the threaded runtime (fuse + fiss)";
-  }
-  PassResult run(const NodeP& root, PassContext& ctx) override {
-    if (ctx.options.threads <= 1) return {root, false};
-    // Selective fusion only when an explicit actor budget asks for it, then
-    // fiss with a permissive share gate.  The `coarsen` pass below is the
-    // batched runtime's stricter successor.
-    NodeP g = root;
-    if (ctx.options.target_actors > 0 &&
-        ir::count_filters(g) > ctx.options.target_actors) {
-      g = parallel::selective_fusion(g, ctx.options.target_actors);
-    }
-    NodeP out = parallel::data_parallelize(g, ctx.options.threads);
-    const bool changed = ir::count_filters(out) != ir::count_filters(root);
-    return {changed ? std::move(out) : root, changed};
-  }
-};
-
 // The coarse-grained shaping stage for the batched threaded runtime:
 // fuse-then-fiss down to ~one well-sized actor per worker.  Differs from
-// threaded-prep in two ways that matter at scale: the actor budget defaults
-// on (4 * threads) instead of requiring an explicit target, and the fission
-// cost gate is a quarter worker (0.25 / threads) instead of 1%, so tiny
-// actors never own a partition slice or buy a ring crossing.
+// fission in two ways that matter at scale: an actor budget (4 * threads by
+// default) selective-fuses fine-grained graphs first, and the fission cost
+// gate is a quarter worker (0.25 / threads) instead of 1%, so tiny actors
+// never own a partition slice or buy a ring crossing.
 class CoarsenPass final : public Pass {
  public:
   const char* name() const override { return "coarsen"; }
@@ -395,7 +373,6 @@ void register_builtins(PassManager& pm) {
   pm.register_pass(std::make_unique<FrequencyPass>());
   pm.register_pass(std::make_unique<SelectiveFusePass>());
   pm.register_pass(std::make_unique<FissionPass>());
-  pm.register_pass(std::make_unique<ThreadedPrepPass>());
   pm.register_pass(std::make_unique<CoarsenPass>());
   pm.register_pass(std::make_unique<FuseSteadyPass>());
   pm.register_pass(std::make_unique<TypeflowPass>());

@@ -5,12 +5,11 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 
 #include "linear/cost.h"
 #include "linear/extract.h"
-#include "runtime/interp.h"
-#include "runtime/typed.h"
 #include "sched/exec.h"
 
 namespace sit::parallel {
@@ -157,26 +156,8 @@ int leaf_push(const Node& leaf) {
   return leaf.kind == Node::Kind::Filter ? leaf.filter.push : leaf.native.push;
 }
 
-// Replica state for peeking fission: the underlying filter's own state.
-class ReplicaState final : public ir::NativeState {
- public:
-  runtime::FilterState fst;
-  std::unique_ptr<ir::NativeState> nst;
-  // Lazily created per replica instance: the shared typed program bound to
-  // *this* fst.  Never cloned -- a clone's binding must resolve against the
-  // clone's own state storage.
-  std::unique_ptr<runtime::TypedBound> tb;
-
-  std::unique_ptr<ir::NativeState> clone() const override {
-    auto c = std::make_unique<ReplicaState>();
-    c->fst = fst;
-    if (nst) c->nst = nst->clone();
-    return c;
-  }
-};
-
 // Input adapter presenting a window of the duplicated stream shifted by
-// `offset`: the replica computes the original filter's firing at that
+// `offset`: a native replica computes the original filter's firing at that
 // offset, consuming nothing until the wrapper pops the full stride.
 class OffsetIn final : public ir::InTape {
  public:
@@ -190,85 +171,42 @@ class OffsetIn final : public ir::InTape {
   int pops_{0};
 };
 
-// What every peeking-fission replica of one leaf shares: a clone of the
-// leaf and, for an AST filter, its post-init state and typed program.  The
-// filter's init runs once, on the tree; every instance starts from a copy of
-// that state, so one typed lowering serves all replicas and each firing then
-// skips the tree walk.  A typed refusal leaves the replicas on the tree.
-struct ReplicaProto {
-  NodeP node;
-  runtime::FilterState init;
-  runtime::TypedFilterP typed;
-};
-
-std::shared_ptr<const ReplicaProto> make_replica_proto(const NodeP& leaf) {
-  auto proto = std::make_shared<ReplicaProto>();
-  proto->node = ir::clone(leaf);
-  if (leaf->kind == Node::Kind::Filter) {
-    proto->init = runtime::Interp::init_state(leaf->filter);
-    if (replicas_run_typed()) {
-      proto->typed = runtime::typed_compile(leaf->filter, proto->init);
-    }
-  }
-  return proto;
-}
-
-NodeP make_replica(const std::shared_ptr<const ReplicaProto>& proto, int k,
-                   int idx) {
-  const Node& leaf = *proto->node;
-  const int pop = leaf_pop(leaf);
-  const int peek = leaf_peek(leaf);
-  const int push = leaf_push(leaf);
-
-  ir::NativeFilter nf;
-  nf.name = leaf.name + "_rep" + std::to_string(idx);
-  nf.pop = k * pop;
-  nf.peek = k * pop + (peek - pop);
-  nf.push = push;
-  nf.stateful = false;
-  nf.cost_ops = linear::leaf_ops_per_firing(leaf) +
-                2.0 * static_cast<double>(k * pop);  // discarding the stride
-  nf.cost_flops = linear::leaf_flops_per_firing(leaf);
-  nf.make_state = [proto]() -> std::unique_ptr<ir::NativeState> {
-    auto st = std::make_unique<ReplicaState>();
-    if (proto->node->kind == Node::Kind::Filter) {
-      st->fst = proto->init;
-    } else if (proto->node->native.make_state) {
-      st->nst = proto->node->native.make_state();
-    }
-    return st;
-  };
-  const int offset = idx * pop;
+// Replica `idx` of a k-way peeking fission (rates and work: see fiss in
+// transforms.h).  An AST replica says its decimation in the language itself,
+// so the executor compiles it like any other filter.
+NodeP make_replica(const NodeP& leaf, int k, int idx) {
+  const int pop = leaf_pop(*leaf);
   const int stride = k * pop;
-  nf.work = [proto, offset, stride](ir::NativeState* state, ir::InTape& in,
-                                    ir::OutTape& out) {
-    auto* rs = dynamic_cast<ReplicaState*>(state);
-    if (rs == nullptr) throw std::logic_error("replica state mismatch");
+  const int peek = stride + (leaf_peek(*leaf) - pop);
+  NodeP r = ir::clone(leaf);
+  r->name = leaf->name + "_rep" + std::to_string(idx);
+  if (r->kind == Node::Kind::Filter) {
+    ir::FilterSpec& f = r->filter;
+    f.name = r->name;
+    f.pop = stride;
+    f.peek = peek;
+    std::vector<ir::StmtP> body;
+    if (idx > 0) body.push_back(ir::pop_n(ir::iconst(idx * pop)));
+    body.push_back(f.work);
+    if (idx < k - 1) body.push_back(ir::pop_n(ir::iconst((k - 1 - idx) * pop)));
+    f.work = ir::block(std::move(body));
+    return r;
+  }
+  ir::NativeFilter& nf = r->native;
+  nf.name = r->name;
+  nf.pop = stride;
+  nf.peek = peek;
+  nf.cost_ops += 2.0 * static_cast<double>(stride);  // discarding the stride
+  nf.work = [work = leaf->native.work, offset = idx * pop, stride](
+                ir::NativeState* state, ir::InTape& in, ir::OutTape& out) {
     OffsetIn shifted(in, offset);
-    const Node& n = *proto->node;
-    if (n.kind == Node::Kind::Filter) {
-      if (proto->typed) {
-        if (!rs->tb) {
-          rs->tb = std::make_unique<runtime::TypedBound>(proto->typed, rs->fst);
-        }
-        rs->tb->run_work(shifted, out, nullptr);
-      } else {
-        runtime::Interp::run_work(n.filter, rs->fst, shifted, out, nullptr);
-      }
-    } else {
-      n.native.work(rs->nst.get(), shifted, out);
-    }
+    work(state, shifted, out);
     in.pop_many(stride);
   };
-  return ir::make_native(std::move(nf));
+  return r;
 }
 
 }  // namespace
-
-bool replicas_run_typed() {
-  return sched::resolve_engine(sched::Engine::Auto) != sched::Engine::Tree &&
-         sched::resolve_typed(sched::TypedMode::Auto);
-}
 
 NodeP fiss(const NodeP& leaf, int k) {
   if (!leaf->is_leaf()) throw std::invalid_argument("fiss expects a leaf");
@@ -302,8 +240,7 @@ NodeP fiss(const NodeP& leaf, int k) {
   }
 
   // Peeking fission: duplicate the stream, decimate per replica.
-  const auto proto = make_replica_proto(leaf);
-  for (int i = 0; i < k; ++i) replicas.push_back(make_replica(proto, k, i));
+  for (int i = 0; i < k; ++i) replicas.push_back(make_replica(leaf, k, i));
   return ir::make_splitjoin(
       leaf->name + "_fissed", ir::duplicate_split(),
       ir::roundrobin_join(std::vector<int>(static_cast<std::size_t>(k), push)),
@@ -345,11 +282,33 @@ void collect_pipeline_children(const NodeP& n, std::vector<NodeP>& out) {
   }
 }
 
-int fuse_counter = 0;
+// Names the fused segments of one top-level transform call: `<base><tag><N>`
+// with N counting from 0 within the call, skipping any name a leaf of the
+// input tree already carries.  Compiling one graph twice therefore yields the
+// same actor names (cost profiles match by name), and concurrent compiles
+// share no counter.
+class FuseNamer {
+ public:
+  explicit FuseNamer(const NodeP& root) {
+    ir::visit(root, [this](const NodeP& n) {
+      if (n->is_leaf()) taken_.insert(n->name);
+    });
+  }
 
-}  // namespace
+  std::string operator()(const std::string& base, const char* tag) {
+    std::string name;
+    do {
+      name = base + tag + std::to_string(next_++);
+    } while (!taken_.insert(name).second);
+    return name;
+  }
 
-NodeP coarsen_stateless(const NodeP& root) {
+ private:
+  std::set<std::string> taken_;
+  int next_{0};
+};
+
+NodeP coarsen_stateless(const NodeP& root, FuseNamer& namer) {
   switch (root->kind) {
     case Node::Kind::Filter:
     case Node::Kind::Native:
@@ -357,22 +316,25 @@ NodeP coarsen_stateless(const NodeP& root) {
     case Node::Kind::SplitJoin: {
       if (fusable_stateless(root) && root->split.kind != ir::SJKind::Null &&
           root->join.kind != ir::SJKind::Null) {
-        return fuse_subtree(root, root->name + "_coarse" + std::to_string(fuse_counter++));
+        return fuse_subtree(root, namer(root->name, "_coarse"));
       }
       std::vector<NodeP> kids;
-      for (const auto& c : root->children) kids.push_back(coarsen_stateless(c));
+      for (const auto& c : root->children) {
+        kids.push_back(coarsen_stateless(c, namer));
+      }
       return ir::make_splitjoin(root->name, root->split, root->join, kids);
     }
     case Node::Kind::FeedbackLoop:
       return ir::make_feedback(root->name, root->join,
-                               coarsen_stateless(root->children[0]), root->split,
-                               coarsen_stateless(root->children[1]), root->delay,
-                               root->init_path);
+                               coarsen_stateless(root->children[0], namer),
+                               root->split,
+                               coarsen_stateless(root->children[1], namer),
+                               root->delay, root->init_path);
     case Node::Kind::Pipeline: {
       std::vector<NodeP> kids;
       for (const auto& c : root->children) {
         std::vector<NodeP> flat;
-        collect_pipeline_children(coarsen_stateless(c), flat);
+        collect_pipeline_children(coarsen_stateless(c, namer), flat);
         for (auto& f : flat) kids.push_back(std::move(f));
       }
       // Fuse maximal stateless non-peeking runs.
@@ -389,9 +351,8 @@ NodeP coarsen_stateless(const NodeP& root) {
         if (j > i) {
           std::vector<NodeP> run(kids.begin() + static_cast<long>(i),
                                  kids.begin() + static_cast<long>(j + 1));
-          out.push_back(fuse_subtree(
-              ir::make_pipeline(root->name + "_run", run),
-              root->name + "_coarse" + std::to_string(fuse_counter++)));
+          out.push_back(fuse_subtree(ir::make_pipeline(root->name + "_run", run),
+                                     namer(root->name, "_coarse")));
         } else {
           out.push_back(kids[i]);
         }
@@ -402,6 +363,13 @@ NodeP coarsen_stateless(const NodeP& root) {
     }
   }
   throw std::logic_error("unreachable");
+}
+
+}  // namespace
+
+NodeP coarsen_stateless(const NodeP& root) {
+  FuseNamer namer(root);
+  return coarsen_stateless(root, namer);
 }
 
 // ---- selective fusion ------------------------------------------------------------
@@ -440,7 +408,7 @@ double subtree_work(const NodeP& n, const std::map<const Node*, double>& w) {
 
 // One greedy fusion step: fuse the cheapest adjacent pipeline pair or the
 // cheapest whole splitjoin.  Returns false when no legal move exists.
-bool fuse_cheapest(NodeP& root) {
+bool fuse_cheapest(NodeP& root, FuseNamer& namer) {
   const auto work = global_leaf_work(root);
 
   struct Move {
@@ -493,13 +461,12 @@ bool fuse_cheapest(NodeP& root) {
       auto& ch = n->children;
       switch (best.kind) {
         case Move::Kind::WholeSplitJoin:
-          n = fuse_subtree(n, n->name + "_sf" + std::to_string(fuse_counter++));
+          n = fuse_subtree(n, namer(n->name, "_sf"));
           break;
         case Move::Kind::PipelinePair: {
           NodeP pair = ir::make_pipeline(n->name + "_pair",
                                          {ch[best.index], ch[best.index + 1]});
-          NodeP fused =
-              fuse_subtree(pair, n->name + "_sf" + std::to_string(fuse_counter++));
+          NodeP fused = fuse_subtree(pair, namer(n->name, "_sf"));
           ch[best.index] = fused;
           ch.erase(ch.begin() + static_cast<long>(best.index) + 1);
           if (ch.size() == 1 && n->children[0]->is_leaf()) n = ch[0];
@@ -517,8 +484,7 @@ bool fuse_cheapest(NodeP& root) {
           sub_join.weights = {n->join.weights[i], n->join.weights[i + 1]};
           NodeP pair = ir::make_splitjoin(n->name + "_grp", sub_split, sub_join,
                                           {ch[i], ch[i + 1]});
-          NodeP fused =
-              fuse_subtree(pair, n->name + "_sf" + std::to_string(fuse_counter++));
+          NodeP fused = fuse_subtree(pair, namer(n->name, "_sf"));
           ch[i] = fused;
           ch.erase(ch.begin() + static_cast<long>(i) + 1);
           if (n->split.kind == ir::SJKind::RoundRobin) {
@@ -547,8 +513,9 @@ bool fuse_cheapest(NodeP& root) {
 
 NodeP selective_fusion(const NodeP& root, int target_actors) {
   NodeP g = ir::clone(root);
+  FuseNamer namer(g);
   while (ir::count_filters(g) > target_actors) {
-    if (!fuse_cheapest(g)) break;
+    if (!fuse_cheapest(g, namer)) break;
   }
   return g;
 }

@@ -10,9 +10,13 @@
 //     filters fiss into a round-robin split-join; peeking filters fiss with a
 //     duplicate splitter and per-replica decimation (the duplication is the
 //     synchronization overhead the paper's coarse-grained algorithm weighs).
+//     A replica of an AST filter is itself an AST filter, so the executor
+//     runs it on whatever engine it runs every other filter on.
 //   * coarsen_stateless -- fuse maximal regions of stateless, non-peeking
 //     actors (the "coarsen granularity" step of coarse-grained data
-//     parallelism).
+//     parallelism).  Fused segments are named `<region>_coarse<N>` (and
+//     selective_fusion's `<region>_sf<N>`), N counting from 0 within each
+//     call, so the same input always yields the same actor names.
 //   * selective_fusion  -- greedily fuse the cheapest adjacent work until the
 //     actor count reaches a target (the software-pipelining preparation).
 
@@ -35,13 +39,11 @@ bool subtree_peeks(const ir::NodeP& node);      // any peeking leaf
 ir::NodeP fuse_subtree(const ir::NodeP& node, const std::string& name);
 
 // Data-parallelize a stateless leaf K ways.  Throws if the leaf is stateful.
+// A peeking leaf with pop p and peek e becomes replicas `<leaf>_rep<i>` with
+// pop k*p and peek k*p + (e - p).  An AST replica i keeps the leaf's init and
+// runs { pop_n(i*p); <work>; pop_n((k-1-i)*p) } (zero-count pops omitted).  A
+// native replica runs the leaf's own state and work on a tape shifted by i*p.
 ir::NodeP fiss(const ir::NodeP& leaf, int k);
-
-// Whether peeking-fission replicas of an AST filter run its work function on
-// the per-actor typed VM (else on the tree interpreter): yes unless
-// SIT_ENGINE resolves to tree or SIT_TYPED is off.  fiss reads it when it
-// builds the replicas; a filter typed_compile refuses stays on the tree.
-bool replicas_run_typed();
 
 // Fuse maximal stateless non-peeking regions bottom-up.  Returns a new tree.
 ir::NodeP coarsen_stateless(const ir::NodeP& root);

@@ -59,14 +59,14 @@ TEST(PassRegistry, AllBuiltinsRegistered) {
   for (const char* name :
        {"validate", "analysis-gate", "verify", "const-fold", "linear-extract",
         "linear-combine", "frequency", "selective-fuse", "fission",
-        "threaded-prep", "coarsen", "fuse-steady", "typeflow"}) {
+        "coarsen", "fuse-steady", "typeflow"}) {
     Pass* p = pm.find(name);
     ASSERT_NE(p, nullptr) << name;
     EXPECT_STREQ(p->name(), name);
     EXPECT_NE(std::string(p->description()), "");
   }
   EXPECT_EQ(pm.find("nonsense"), nullptr);
-  EXPECT_EQ(pm.pass_names().size(), 13u);
+  EXPECT_EQ(pm.pass_names().size(), 12u);
 }
 
 TEST(PassRegistry, LaterRegistrationShadows) {
@@ -122,7 +122,6 @@ TEST(Presets, LevelsNest) {
   EXPECT_EQ(o2.back(), "frequency");
   // Mapping passes never appear in presets (engine interchangeability).
   for (const auto& n : o2) {
-    EXPECT_NE(n, "threaded-prep");
     EXPECT_NE(n, "coarsen");
     EXPECT_NE(n, "fission");
     EXPECT_NE(n, "selective-fuse");
@@ -365,15 +364,42 @@ TEST(Artifact, MetricsCarryPipelineAndPassStats) {
 
 TEST(Artifact, ThreadedExecutorConsumesProgram) {
   CompileOptions copts;
-  copts.passes = "validate,analysis-gate,threaded-prep";
+  copts.passes = "validate,analysis-gate,fission";
   copts.exec.threads = 4;
   sched::ExecOptions opts;
   opts.threads = 4;
   sched::ThreadedExecutor tex(compile(apps::make_app("FMRadio"), copts), opts);
   EXPECT_NO_THROW(tex.run_steady(2));
   const obs::MetricsSnapshot m = tex.metrics_snapshot();
-  EXPECT_EQ(m.pipeline, "validate,analysis-gate,threaded-prep");
+  EXPECT_EQ(m.pipeline, "validate,analysis-gate,fission");
   EXPECT_EQ(m.passes.size(), 3u);
+}
+
+// Fused segments are named per compile, not from a process-wide counter:
+// compiling the same program twice yields the same flat actor names, so
+// name-matched cost profiles keep matching.
+TEST(Artifact, CoarsenNamesRepeatAcrossCompiles) {
+  CompileOptions copts;
+  copts.passes =
+      "validate,analysis-gate,const-fold,linear-combine,frequency,coarsen";
+  copts.exec.threads = 4;
+  const auto names = [&copts] {
+    std::vector<std::string> out;
+    for (const auto& a : compile(apps::make_app("DES"), copts).flat.actors) {
+      out.push_back(a.name);
+    }
+    return out;
+  };
+  const std::vector<std::string> first = names();
+  EXPECT_EQ(names(), first);
+  const auto has = [&first](const char* tag) {
+    for (const auto& n : first) {
+      if (n.find(tag) != std::string::npos) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has("_coarse"));
+  EXPECT_TRUE(has("_sf"));
 }
 
 }  // namespace

@@ -7,15 +7,18 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
+#include <cmath>
 #include <random>
 #include <string>
 
 #include "ir/dsl.h"
+#include "linear/frequency.h"
+#include "linear/linear_rep.h"
 #include "machine/machine.h"
 #include "parallel/strategies.h"
 #include "parallel/transforms.h"
 #include "sched/exec.h"
+#include "sched/texec.h"
 
 namespace sit::parallel {
 namespace {
@@ -155,69 +158,142 @@ TEST(Fiss, PeekingFissionUsesDuplication) {
   expect_same_stream(leaf, fissed, 48);
 }
 
-// Sets (or, for nullptr, unsets) one environment variable for a scope and
-// restores its previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
+// A stateless 5-tap FIR whose coefficients come from its init function.
+NodeP fir5(const std::string& name) {
+  return filter(name)
+      .rates(5, 1, 1)
+      .array("h", 5)
+      .init(for_("i", 0, 5,
+                 set_at("h", v("i"), c(0.125) * to_float(v("i")) - c(0.25))))
+      .work(seq({let("acc", c(0.0)),
+                 for_("i", 0, 5,
+                      let("acc", v("acc") + peek_(v("i")) * at("h", v("i")))),
+                 push_(v("acc")), discard(1)}))
+      .node();
+}
 
- private:
-  const char* name_;
-  bool had_{false};
-  std::string old_;
+// One run of `steady` steady states over a deterministic input: the
+// program output and every actor's OpCounts.
+struct Observed {
+  std::vector<double> out;
+  std::vector<runtime::OpCounts> ops;
 };
 
-// Peeking-fission replicas pick their engine from the environment when fiss
-// builds them: typed unless SIT_ENGINE is tree (SIT_ENGINE=fused once sent
-// every replica to the tree interpreter).  Whatever they run on, the fissed
-// stream must be bit-equal to the unfissed filter's.
-TEST(Fiss, PeekingReplicasRunTypedUnlessEngineIsTree) {
-  auto fir5 = filter("fir5")
-                  .rates(5, 1, 1)
-                  .array_init("h", {Value{0.1}, Value{-0.25}, Value{0.5},
-                                    Value{0.75}, Value{0.125}})
-                  .work(seq({let("acc", c(0.0)),
-                             for_("i", 0, 5,
-                                  let("acc", v("acc") + peek_(v("i")) *
-                                                            at("h", v("i")))),
-                             push_(v("acc")), discard(1)}))
-                  .node();
-  ASSERT_FALSE(leaf_stateful(*fir5));
-  const EnvGuard typed("SIT_TYPED", nullptr);
-  for (const char* engine : {static_cast<const char*>(nullptr), "fused", "tree"}) {
-    const std::string label = engine != nullptr ? engine : "unset";
-    SCOPED_TRACE("SIT_ENGINE=" + label);
-    const EnvGuard env("SIT_ENGINE", engine);
-    EXPECT_EQ(replicas_run_typed(), label != "tree");
-    const auto want = run_graph(fir5, 60);
-    for (const int k : {2, 3}) {
-      auto fissed = fiss(fir5, k);
-      ASSERT_EQ(fissed->split.kind, SJKind::Duplicate);
-      const auto got = run_graph(fissed, 60);
-      ASSERT_EQ(want.size(), got.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
-                  std::bit_cast<std::uint64_t>(got[i]))
-            << "k=" << k << " item " << i << ": " << want[i] << " vs " << got[i];
+template <class Exec>
+Observed observe(Exec& ex, int steady) {
+  ex.set_input_generator([](std::int64_t i) {
+    return std::sin(0.37 * static_cast<double>(i)) +
+           0.01 * static_cast<double>(i % 7);
+  });
+  Observed o;
+  o.out = ex.run_steady(steady);
+  o.ops = ex.actor_ops();
+  return o;
+}
+
+void expect_bit_equal(const Observed& want, const Observed& got) {
+  ASSERT_EQ(want.out.size(), got.out.size());
+  for (std::size_t i = 0; i < want.out.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want.out[i]),
+              std::bit_cast<std::uint64_t>(got.out[i]))
+        << "item " << i << ": " << want.out[i] << " vs " << got.out[i];
+  }
+  ASSERT_EQ(want.ops.size(), got.ops.size());
+  for (std::size_t a = 0; a < want.ops.size(); ++a) {
+    const runtime::OpCounts& w = want.ops[a];
+    const runtime::OpCounts& g = got.ops[a];
+    EXPECT_EQ(w.int_ops, g.int_ops) << "actor " << a;
+    EXPECT_EQ(w.flops, g.flops) << "actor " << a;
+    EXPECT_EQ(w.divs, g.divs) << "actor " << a;
+    EXPECT_EQ(w.trans, g.trans) << "actor " << a;
+    EXPECT_EQ(w.mem, g.mem) << "actor " << a;
+    EXPECT_EQ(w.channel, g.channel) << "actor " << a;
+  }
+}
+
+// Peeking-fission replicas of an AST filter are plain filters: the executor
+// that owns them compiles each by its own ExecOptions, like every other
+// filter.  Every engine and the threaded runtime agree bit for bit on the
+// outputs and the per-actor OpCounts, and the replicas run on the tree
+// exactly when the executor asks for the tree.
+TEST(Fiss, PeekingReplicasFollowTheExecutorEngine) {
+  const auto leaf = fir5("fir5");
+  ASSERT_FALSE(leaf_stateful(*leaf));
+  const Observed unfissed = [&] {
+    sched::Executor ex(ir::clone(leaf));
+    return observe(ex, 60);
+  }();
+  for (const int k : {2, 3}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const auto fissed = fiss(leaf, k);
+    ASSERT_EQ(fissed->split.kind, SJKind::Duplicate);
+    std::vector<Observed> runs;
+    for (const auto engine :
+         {sched::Engine::Tree, sched::Engine::Vm, sched::Engine::Fused}) {
+      sched::ExecOptions eo;
+      eo.engine = engine;
+      eo.typed = sched::TypedMode::On;
+      sched::Executor ex(ir::clone(fissed), eo);
+      runs.push_back(observe(ex, 60 / k));
+      int replicas = 0;
+      for (std::size_t a = 0; a < ex.graph().actors.size(); ++a) {
+        if (ex.graph().actors[a].name.find("_rep") == std::string::npos) continue;
+        ++replicas;
+        if (engine == sched::Engine::Tree) {
+          EXPECT_FALSE(ex.actor_uses_typed(static_cast<int>(a)));
+        }
+        if (engine == sched::Engine::Vm) {
+          EXPECT_TRUE(ex.actor_uses_typed(static_cast<int>(a)))
+              << ex.typed_refusal(static_cast<int>(a));
+        }
       }
+      EXPECT_EQ(replicas, k);
+    }
+    sched::ExecOptions to;
+    to.threads = 4;
+    sched::ThreadedExecutor tex(ir::clone(fissed), to);
+    runs.push_back(observe(tex, 60 / k));
+    for (const Observed& r : runs) {
+      ASSERT_NO_FATAL_FAILURE(expect_bit_equal(runs[0], r));
+      ASSERT_EQ(r.out, unfissed.out);
+    }
+  }
+}
+
+// A native peeking leaf (a frequency-translated FIR) still fisses through a
+// shifted tape over its own state and work, bit-equal to the unfissed node.
+TEST(Fiss, NativePeekingReplicasMatchTheLeaf) {
+  linear::LinearRep r;
+  r.peek = 9;
+  r.pop = 1;
+  r.push = 1;
+  r.A = linear::Matrix(1, 9);
+  r.b.assign(1, 0.0);
+  for (int i = 0; i < r.peek; ++i) {
+    r.A.at(0, static_cast<std::size_t>(i)) = 0.1 * (i + 1) - 0.4;
+  }
+  const auto leaf = linear::make_frequency_filter(r, "fir_freq", 16);
+  ASSERT_EQ(leaf->kind, Node::Kind::Native);
+  ASSERT_TRUE(leaf->native.does_peek());
+  ASSERT_FALSE(leaf_stateful(*leaf));
+  const int pop = leaf->native.pop;
+  const Observed want = [&] {
+    sched::Executor ex(ir::clone(leaf));
+    return observe(ex, 6);
+  }();
+  for (const int k : {2, 3}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const auto fissed = fiss(leaf, k);
+    ASSERT_EQ(fissed->split.kind, SJKind::Duplicate);
+    ASSERT_EQ(fissed->children[0]->kind, Node::Kind::Native);
+    EXPECT_EQ(fissed->children[0]->native.pop, k * pop);
+    sched::Executor ex(ir::clone(fissed));
+    const Observed got = observe(ex, 6);
+    ASSERT_GE(got.out.size(), want.out.size());
+    for (std::size_t i = 0; i < want.out.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(want.out[i]),
+                std::bit_cast<std::uint64_t>(got.out[i]))
+          << "item " << i << ": " << want.out[i] << " vs " << got.out[i];
     }
   }
 }
