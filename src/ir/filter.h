@@ -13,6 +13,7 @@
 //    schedule) and by the I/O endpoints; they execute and map like any other
 //    filter but are opaque to source-level analyses.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -57,6 +58,18 @@ struct FilterSpec {
 
 // ---- native filters ---------------------------------------------------------
 
+// Read-only view of the next items of a power-of-two ring: item k (offset k
+// from the next item to pop) lives at data[(head + k) & mask].
+struct TapeWindow {
+  const double* data{nullptr};
+  std::size_t head{0};
+  std::size_t mask{0};
+
+  [[nodiscard]] double operator[](std::size_t k) const {
+    return data[(head + k) & mask];
+  }
+};
+
 // Minimal channel views used by native work functions so that ir/ does not
 // depend on the runtime library.  The runtime adapts its channels to these.
 class InTape {
@@ -68,6 +81,15 @@ class InTape {
   // index advance (decimation loops and splitter strides hit this hard).
   virtual void pop_many(int n) {
     for (int i = 0; i < n; ++i) pop_item();
+  }
+  // Expose the next `n` items as one ring view, so a bulk reader can check
+  // the extent once and then read raw memory.  False when fewer than `n`
+  // items are buffered or the tape keeps no ring (the caller then peeks
+  // item by item, which raises the tape's own error where one is due).
+  virtual bool window(int n, TapeWindow* w) {
+    (void)n;
+    (void)w;
+    return false;
   }
 };
 
@@ -83,12 +105,24 @@ class NativeState {
  public:
   virtual ~NativeState() = default;
   virtual std::unique_ptr<NativeState> clone() const = 0;
+  // How this instance runs its work, for metrics; empty when there is
+  // nothing to say (a fused segment names its engine or its fallback).
+  [[nodiscard]] virtual std::string status() const { return {}; }
 };
+
+// How the owning executor runs work functions, handed to make_state so that a
+// native interpreting a subprogram (a fused segment) follows its owner
+// rather than the environment: Tree when the executor runs AST filters on
+// the tree interpreter (Engine::Tree, or typed mode off), Compiled when it
+// runs them on the typed engines.
+enum class NativeEngine { Tree, Compiled };
+
+struct Node;
 
 struct NativeFilter {
   std::string name;
   int peek{0}, pop{0}, push{0};
-  std::function<std::unique_ptr<NativeState>()> make_state;
+  std::function<std::unique_ptr<NativeState>(NativeEngine)> make_state;
   // One firing: consume exactly `pop` items (peeking at most `peek`), produce
   // exactly `push` items.
   std::function<void(NativeState*, InTape&, OutTape&)> work;
@@ -97,6 +131,11 @@ struct NativeFilter {
   double cost_ops{0};
   double cost_flops{0};
   bool stateful{false};
+  // Fused segments only (parallel::fuse_subtree): the subtree the segment
+  // runs, with every segment it absorbed already replaced by that segment's
+  // own body, so a body never contains a segment.  Shared and never
+  // mutated; null for every other native.
+  std::shared_ptr<Node> body;
 
   [[nodiscard]] bool does_peek() const { return peek > pop; }
 };

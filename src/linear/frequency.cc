@@ -110,7 +110,7 @@ ir::NodeP make_frequency_filter(const LinearRep& rep, const std::string& name,
   nf.stateful = false;
   nf.cost_flops = shape.cost_flops;
   nf.cost_ops = shape.cost_ops;
-  nf.make_state = [rep, fft_size]() -> std::unique_ptr<ir::NativeState> {
+  nf.make_state = [rep, fft_size](ir::NativeEngine) -> std::unique_ptr<ir::NativeState> {
     return std::make_unique<FreqState>(rep, fft_size);
   };
   nf.work = [k, block, push, b](ir::NativeState* state, ir::InTape& in,

@@ -91,6 +91,9 @@ std::string MetricsSnapshot::to_json() const {
       o << ", \"typed\": \"" << escape(a.typed_status)
         << "\", \"typed_regs\": " << a.typed_regs;
     }
+    if (!a.segment.empty()) {
+      o << ", \"segment\": \"" << escape(a.segment) << "\"";
+    }
     if (!a.hist.empty()) {
       o << ", \"hist_ns_log2\": [";
       for (std::size_t b = 0; b < a.hist.size(); ++b) {

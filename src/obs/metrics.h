@@ -35,6 +35,12 @@ struct ActorSnapshot {
   // (non-filter, tree fallback, or SIT_TYPED=0).
   std::string typed_status;
   int typed_regs{0};  // registers proven Double everywhere (0 when tagged)
+  // Fused segments only (parallel/segment.h): what the segment's body runs
+  // on -- "fused" (its typed fused trace), "tree" (per actor on the tree
+  // interpreter, the owning executor's choice), or "typed-vm:<reason>" (per
+  // actor on the typed VM because fusion or typing refused, with the stable
+  // refusal reason).  Empty for every other actor.
+  std::string segment;
 };
 
 struct EdgeSnapshot {

@@ -10,7 +10,7 @@
 
 #include "linear/cost.h"
 #include "linear/extract.h"
-#include "sched/exec.h"
+#include "sched/schedule.h"
 
 namespace sit::parallel {
 
@@ -43,103 +43,6 @@ bool subtree_peeks(const NodeP& node) {
     if (n->kind == Node::Kind::Native && n->native.does_peek()) p = true;
   });
   return p;
-}
-
-// ---- fusion -------------------------------------------------------------------
-
-namespace {
-
-// Per-instance state of a fused filter: a private executor over the fused
-// subtree's program.  The subtree is flattened and scheduled once (in
-// fuse_subtree) and not re-gated: it belongs to a graph the analysis gate
-// already accepted, and make_schedule still throws if the subtree cannot be
-// scheduled on its own.  Every instance and every clone shares that
-// read-only program and builds only its own executor storage.  The first
-// firing also absorbs the subtree's initialization epoch (which needs
-// `init_in` extra input items, declared as the fused filter's extra peek
-// window).
-class FusedState final : public ir::NativeState {
- public:
-  using ProgramP = std::shared_ptr<const sched::CompiledProgram>;
-
-  explicit FusedState(ProgramP prog)
-      : prog_(std::move(prog)), ex_(std::make_unique<sched::Executor>(*prog_)) {}
-
-  FusedState(const FusedState& o) : FusedState(o.prog_) {}
-
-  std::unique_ptr<ir::NativeState> clone() const override {
-    return std::make_unique<FusedState>(*this);
-  }
-
-  ProgramP prog_;
-  std::unique_ptr<sched::Executor> ex_;
-  bool started_{false};
-};
-
-}  // namespace
-
-NodeP fuse_subtree(const NodeP& node, const std::string& name) {
-  // Flatten and schedule the subtree in isolation (its external rates come
-  // from its schedule); every instance of the fused filter runs this one
-  // program.
-  auto built = std::make_shared<sched::CompiledProgram>();
-  built->graph = ir::clone(node);
-  built->flat = runtime::flatten(built->graph);
-  built->schedule = sched::make_schedule(built->flat);
-  const FusedState::ProgramP prog = std::move(built);
-  const runtime::FlatGraph& g = prog->flat;
-  const sched::Schedule& s = prog->schedule;
-  const int P = static_cast<int>(s.input_per_steady);
-  const int I = static_cast<int>(s.input_for_init);
-  const int Q = static_cast<int>(s.output_per_steady);
-
-  double ops = 0.0, flops = 0.0;
-  for (std::size_t i = 0; i < g.actors.size(); ++i) {
-    const auto& a = g.actors[i];
-    const double reps = static_cast<double>(s.reps[i]);
-    if (a.is_filter()) {
-      ops += reps * linear::leaf_ops_per_firing(*a.node);
-      flops += reps * linear::leaf_flops_per_firing(*a.node);
-    } else {
-      std::int64_t items = 0;
-      for (int r : a.in_rate) items += r;
-      for (int r : a.out_rate) items += r;
-      ops += reps * static_cast<double>(items);
-    }
-  }
-
-  ir::NativeFilter nf;
-  nf.name = name;
-  nf.pop = P;
-  nf.peek = P + I;
-  nf.push = Q;
-  nf.cost_ops = ops;
-  nf.cost_flops = flops;
-  nf.stateful = subtree_stateful(node) || subtree_peeks(node) || I > 0;
-  nf.make_state = [prog]() -> std::unique_ptr<ir::NativeState> {
-    return std::make_unique<FusedState>(prog);
-  };
-  nf.work = [P, I, Q](ir::NativeState* state, ir::InTape& in, ir::OutTape& out) {
-    auto* fs = dynamic_cast<FusedState*>(state);
-    if (fs == nullptr) throw std::logic_error("fused filter state mismatch");
-    std::vector<double> feed;
-    if (!fs->started_) {
-      feed.reserve(static_cast<std::size_t>(I + P));
-      for (int i = 0; i < I + P; ++i) feed.push_back(in.peek_item(i));
-      fs->started_ = true;
-    } else {
-      feed.reserve(static_cast<std::size_t>(P));
-      for (int i = 0; i < P; ++i) feed.push_back(in.peek_item(I + i));
-    }
-    if (P + I > 0 && !feed.empty()) fs->ex_->feed_input(feed);
-    const std::vector<double> produced = fs->ex_->run_steady(1);
-    if (static_cast<int>(produced.size()) != Q) {
-      throw std::runtime_error("fused filter produced unexpected item count");
-    }
-    for (double v : produced) out.push_item(v);
-    in.pop_many(P);
-  };
-  return ir::make_native(std::move(nf));
 }
 
 // ---- fission ------------------------------------------------------------------

@@ -1,11 +1,12 @@
 #pragma once
 // Graph transformations used by the parallelization strategies:
 //
-//   * fuse_subtree  -- collapse any subtree into a single native filter that
-//     executes the subtree's steady state internally (StreamIt filter
-//     fusion).  Fusing peeking children introduces internal buffering, so
-//     the result is stateful exactly when the paper says it is ("once a
-//     peeking filter is fused, it cannot be fissed").
+//   * fuse_subtree  -- collapse any subtree into a single native filter (a
+//     fused segment) that executes the subtree's steady state internally
+//     (StreamIt filter fusion), as one typed fused trace under the compiled
+//     engines (parallel/segment.cc).  Fusing peeking children introduces
+//     internal buffering, so the result is stateful exactly when the paper
+//     says it is ("once a peeking filter is fused, it cannot be fissed").
 //   * fiss          -- data-parallelize a stateless leaf K ways.  Non-peeking
 //     filters fiss into a round-robin split-join; peeking filters fiss with a
 //     duplicate splitter and per-replica decimation (the duplication is the
@@ -35,7 +36,9 @@ bool subtree_peeks(const ir::NodeP& node);      // any peeking leaf
 
 // Collapse a subtree into one native filter.  The native filter's rates are
 // the subtree's per-steady-state external rates; its first firing also
-// absorbs the subtree's initialization epoch.
+// absorbs the subtree's initialization epoch.  A segment inside `node` is
+// inlined as its own body (NativeFilter::body), so the result's body holds
+// no segment; rates and cost still come from `node` as given.
 ir::NodeP fuse_subtree(const ir::NodeP& node, const std::string& name);
 
 // Data-parallelize a stateless leaf K ways.  Throws if the leaf is stateful.

@@ -68,6 +68,12 @@ class Channel final : public ir::InTape, public ir::OutTape {
     return buf_[(head_ + static_cast<std::size_t>(offset)) & mask_];
   }
 
+  bool window(int n, ir::TapeWindow* w) override {
+    if (n < 0 || static_cast<std::size_t>(n) > count_) return false;
+    *w = {buf_.data(), head_, mask_};
+    return true;
+  }
+
   // Bulk append: one capacity check, then at most two contiguous copies
   // (the write region may wrap once around the ring).
   void push_many(const std::vector<double>& vs) {

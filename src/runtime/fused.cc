@@ -1365,59 +1365,33 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
           EdgeState* s = M.real ? nullptr : &ebuf[M.edge];
           Channel* const ch = M.real ? chans_[M.edge] : nullptr;
           // Hoisted precheck: when no per-element check can fire across the
-          // whole range, run the raw kernel and count in bulk.  `last` is the
-          // largest index the loop touches (st > 0: the step is a positive
-          // constant or passed the CheckStep ahead of the loop).
-          const std::int64_t last = i + ((hi - 1 - i) / st) * st;
-          bool fast = i >= 0 && st > 0;
-          if (fast && debug && pops + last >= window) fast = false;
-          if (fast && s != nullptr &&
-              s->rd + static_cast<std::size_t>(last) >= s->wr) {
-            fast = false;
+          // whole range, run the raw kernel and count in bulk.
+          const MacCheck chk{
+              debug, pops, window, &meta->name,
+              M.has_array ? &base.array_names[M.arr] : nullptr};
+          const double* const coef = arr != nullptr ? arr->data() : nullptr;
+          const std::int64_t i0 = i;
+          std::int64_t last = 0;
+          ir::TapeWindow w;
+          const bool clear = mac_loop_clear(
+              i, hi, st,
+              arr != nullptr ? static_cast<std::int64_t>(arr->size()) : -1,
+              chk, &last);
+          if (clear && s != nullptr &&
+              s->rd + static_cast<std::size_t>(last) < s->wr) {
+            acc = mac_loop_raw(i, hi, st, acc, s->buf.data() + s->rd, coef);
+          } else if (clear && ch != nullptr &&
+                     ch->window(static_cast<int>(last) + 1, &w)) {
+            acc = mac_loop_raw(i, hi, st, acc, w, coef);
           }
-          if (fast && ch != nullptr &&
-              static_cast<std::size_t>(last) >= ch->size()) {
-            fast = false;
-          }
-          if (fast && arr != nullptr &&
-              static_cast<std::size_t>(last) >= arr->size()) {
-            fast = false;
-          }
-          if (fast) {
-            const double* const coef = arr != nullptr ? arr->data() : nullptr;
-            if (s != nullptr) {
-              const double* const src = s->buf.data() + s->rd;
-              if (coef != nullptr) {
-                for (; i < hi; i += st) acc += src[i] * coef[i];
-              } else {
-                for (; i < hi; i += st) acc += src[i];
-              }
-            } else if (coef != nullptr) {
-              // Real-channel mac: peek through the ring (still raw doubles).
-              for (; i < hi; i += st) {
-                acc += ch->peek_item(static_cast<int>(i)) * coef[i];
-              }
-            } else {
-              for (; i < hi; i += st) acc += ch->peek_item(static_cast<int>(i));
-            }
+          if (i >= hi) {
             if constexpr (kCount) {
-              const std::int64_t trips = (hi - ir_[M.ri] + st - 1) / st;
-              cur->int_ops += 2 * trips;
-              cur->channel += trips;
-              if (coef != nullptr) {
-                cur->mem += trips;
-                cur->flops += 2 * trips;  // mul + add per term
-              } else {
-                cur->flops += trips;  // add per term
-              }
+              mac_loop_count(cur, (hi - i0 + st - 1) / st, coef != nullptr);
             }
           } else {
             // Checked path: per-element checks and counts in exactly the
             // tree interpreter's order, so an error fires at the same element
             // with the same partial counts.
-            const MacCheck chk{
-                debug, pops, window, &meta->name,
-                M.has_array ? &base.array_names[M.arr] : nullptr};
             const auto peek = [&](std::int64_t k) {
               if (s == nullptr) return ch->peek_item(static_cast<int>(k));
               if (k < 0 || s->rd + static_cast<std::size_t>(k) >= s->wr) {

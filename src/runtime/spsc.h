@@ -131,6 +131,14 @@ class SpscRing final : public ir::InTape, public ir::OutTape {
     return buf_[(head_pos_ + off) & mask_];
   }
 
+  // Consumer side, like peek_item: refreshes the cached tail only when the
+  // cached view holds fewer than `n` items.
+  bool window(int n, ir::TapeWindow* w) override {
+    if (n < 0 || !can_pop(static_cast<std::size_t>(n))) return false;
+    *w = {buf_.data(), static_cast<std::size_t>(head_pos_), mask_};
+    return true;
+  }
+
   double pop_item() override {
     if (!can_pop(1)) throw std::runtime_error("pop from empty SPSC ring");
     const double v = buf_[head_pos_ & mask_];

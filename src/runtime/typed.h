@@ -228,7 +228,9 @@ TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
 // hold exactly its steady-state carry -- e.g. after manual fire() calls left
 // the graph mid-iteration -- or when some state tag no longer matches its
 // inferred class (e.g. a teleport handler retagged a scalar between runs);
-// the caller then runs the iteration per-actor instead.  For the
+// the caller then runs the iteration per-actor instead.  (A fused segment,
+// parallel/segment.cc, activates once after its body's init epoch and never
+// deactivates: nothing outside the trace reads the body's state.)  For the
 // duration of an activation every filter state scalar/array is mirrored into
 // raw plane storage (written back on deactivate), which is what lets the
 // mac-loop run as `for (i) acc += src[i] * coef[i]` over raw double spans.

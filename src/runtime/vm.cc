@@ -214,23 +214,41 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
         ++pc;
         break;
       case FOp::MacLoop: {
-        // The fused trace's superinstruction over this firing's input tape,
-        // always on the checked kernel (the tape's extent is not known up
-        // front, and counts must stop exactly where an error fires).
+        // The fused trace's superinstruction over this firing's input tape:
+        // the hoisted precheck plus the raw loop when the tape exposes the
+        // whole range as a ring window (Channel, SpscRing), the checked
+        // kernel otherwise (counts must stop exactly where an error fires).
         const MacLoopArgs& M = prog_->macs[I.a];
         std::int64_t i = ir[M.ri];
         const std::int64_t hi = ir[M.rhi];
         if (i < hi) {
           const std::int64_t st = ir[M.rstep];
+          const std::vector<Value>* coef =
+              M.has_array ? arrays_[M.arr] : nullptr;
           const MacCheck chk{
               debug, pops, base.peek_window, &base.name,
               M.has_array ? &base.array_slots[M.arr] : nullptr};
-          const auto peek = [in](std::int64_t k) {
-            return in->peek_item(static_cast<int>(k));
-          };
-          dr[M.acc] = mac_loop_checked<kCount>(
-              i, hi, st, dr[M.acc], peek,
-              M.has_array ? arrays_[M.arr] : nullptr, counts, chk);
+          const std::int64_t i0 = i;
+          std::int64_t last = 0;
+          ir::TapeWindow w;
+          if (mac_loop_clear(
+                  i, hi, st,
+                  coef != nullptr ? static_cast<std::int64_t>(coef->size())
+                                  : -1,
+                  chk, &last) &&
+              in->window(static_cast<int>(last) + 1, &w)) {
+            dr[M.acc] = mac_loop_raw(i, hi, st, dr[M.acc], w,
+                                     coef != nullptr ? coef->data() : nullptr);
+            if constexpr (kCount) {
+              mac_loop_count(counts, (hi - i0 + st - 1) / st, coef != nullptr);
+            }
+          } else {
+            const auto peek = [in](std::int64_t k) {
+              return in->peek_item(static_cast<int>(k));
+            };
+            dr[M.acc] = mac_loop_checked<kCount>(i, hi, st, dr[M.acc], peek,
+                                                 coef, counts, chk);
+          }
           // The loop-variable local holds its final iteration's value.
           ir[M.slot] = i - st;
         }

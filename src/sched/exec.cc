@@ -7,6 +7,7 @@
 #include "analysis/bounds_chan.h"
 #include "analysis/fuse.h"
 #include "analysis/typeflow.h"
+#include "runtime/fire.h"
 #include "sched/envopts.h"
 
 namespace sit::sched {
@@ -90,6 +91,11 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   }
 
   typed_on_ = resolve_typed(opts_.typed);
+  // What a fused segment's body runs on follows this executor, never the
+  // environment.
+  const ir::NativeEngine native_engine =
+      typed_on_ && engine_ != Engine::Tree ? ir::NativeEngine::Compiled
+                                           : ir::NativeEngine::Tree;
   const std::size_t n = g_.actors.size();
   fstate_.resize(n);
   nstate_.resize(n);
@@ -114,7 +120,9 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
         }
       }
     } else if (a.kind == FlatActor::Kind::Native) {
-      if (a.node->native.make_state) nstate_[i] = a.node->native.make_state();
+      if (a.node->native.make_state) {
+        nstate_[i] = a.node->native.make_state(native_engine);
+      }
     }
   }
 
@@ -155,6 +163,7 @@ void Executor::feed_input(const std::vector<double>& items) {
   }
   chans_[static_cast<std::size_t>(g_.input_edge)]->push_many(items);
   input_fed_ += static_cast<std::int64_t>(items.size());
+  input_unnoted_ = true;
 }
 
 void Executor::set_input_generator(std::function<double(std::int64_t)> gen) {
@@ -166,6 +175,7 @@ void Executor::ensure_input_for(std::int64_t items_needed) {
   while (input_fed_ < items_needed) {
     chans_[static_cast<std::size_t>(g_.input_edge)]->push_item(input_gen_(input_fed_));
     ++input_fed_;
+    input_unnoted_ = true;
   }
 }
 
@@ -193,23 +203,34 @@ void Executor::fire(int actor) {
     counts = &(*calib_ops_)[ai];
   }
   fire(actor, counts, tb_);
-  for (const auto& ch : chans_) ch->note_high_water();
+  // High water after every firing.  The first firing notes every channel
+  // (initial items sit on back edges); after that only the fired actor's
+  // channels and the input (fed outside any firing) can have moved since
+  // the last note, so noting those gives the marks noting every channel
+  // would.
+  if (!noted_) {
+    for (const auto& ch : chans_) ch->note_high_water();
+    noted_ = true;
+    input_unnoted_ = false;
+    return;
+  }
+  const FlatActor& a = g_.actors[ai];
+  for (const int eid : a.in_edges) {
+    if (eid >= 0) chans_[static_cast<std::size_t>(eid)]->note_high_water();
+  }
+  for (const int eid : a.out_edges) {
+    if (eid >= 0) chans_[static_cast<std::size_t>(eid)]->note_high_water();
+  }
+  if (input_unnoted_) {
+    chans_[static_cast<std::size_t>(g_.input_edge)]->note_high_water();
+    input_unnoted_ = false;
+  }
 }
 
 void Executor::fire(int actor, runtime::OpCounts* counts,
                     obs::ThreadBuffer* tb) {
   const auto ai = static_cast<std::size_t>(actor);
   const FlatActor& a = g_.actors[ai];
-  const auto in_tape = [&](std::size_t port) -> ir::InTape& {
-    const int eid = port < a.in_edges.size() ? a.in_edges[port] : -1;
-    return eid < 0 ? runtime::null_in
-                   : *in_tapes_[static_cast<std::size_t>(eid)];
-  };
-  const auto out_tape = [&](std::size_t port) -> ir::OutTape& {
-    const int eid = port < a.out_edges.size() ? a.out_edges[port] : -1;
-    return eid < 0 ? runtime::null_out
-                   : *out_tapes_[static_cast<std::size_t>(eid)];
-  };
 
   // Tracing: one branch when disabled; two clock reads plus a handful of
   // buffer appends per firing when enabled.  Typed-VM filters report their
@@ -217,77 +238,20 @@ void Executor::fire(int actor, runtime::OpCounts* counts,
   // else reports the static SDF rates below.
   std::int64_t t0 = 0;
   bool vm_traced = false;
+  const runtime::MessageSink* sink =
+      opts_.message_sink ? &opts_.message_sink : nullptr;
   if (tb != nullptr) {
     t0 = rec_->now_ns();
     tb->emit(t0, obs::EventKind::FireBegin, actor);
-  }
-
-  switch (a.kind) {
-    case FlatActor::Kind::Filter: {
-      ir::InTape& in = in_tape(0);
-      ir::OutTape& out = out_tape(0);
-      if (tbf_[ai]) {
-        if (tb != nullptr) {
-          obs::FiringTrace tr{tb, rec_.get(),
+    const obs::FiringTrace tr{tb, rec_.get(),
                               a.in_edges.empty() ? -1 : a.in_edges[0],
                               a.out_edges.empty() ? -1 : a.out_edges[0]};
-          tbf_[ai]->run_work(in, out, counts, &tr);
-          vm_traced = true;
-        } else {
-          tbf_[ai]->run_work(in, out, counts);
-        }
-      } else {
-        // Teleport senders always land here (compile_filter refuses Send),
-        // so this is the only path that needs the message sink.
-        const runtime::MessageSink* sink =
-            opts_.message_sink ? &opts_.message_sink : nullptr;
-        Interp::run_work(a.node->filter, fstate_[ai], in, out, counts, sink);
-      }
-      break;
-    }
-    case FlatActor::Kind::Native: {
-      a.node->native.work(nstate_[ai].get(), in_tape(0), out_tape(0));
-      if (counts) {
-        // Native filters declare their per-firing cost statically.
-        counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
-        counts->int_ops += static_cast<std::int64_t>(
-            a.node->native.cost_ops - a.node->native.cost_flops);
-        counts->channel += a.pop_rate() + a.push_rate();
-      }
-      break;
-    }
-    case FlatActor::Kind::Splitter: {
-      ir::InTape& in = in_tape(0);
-      if (a.sj == ir::SJKind::Duplicate) {
-        const double v = in.pop_item();
-        for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
-          if (a.out_edges[p] >= 0) out_tape(p).push_item(v);
-        }
-        if (counts) counts->channel += 1 + static_cast<std::int64_t>(a.out_edges.size());
-      } else {
-        for (std::size_t p = 0; p < a.out_rate.size(); ++p) {
-          for (int k = 0; k < a.out_rate[p]; ++k) {
-            const double v = in.pop_item();
-            if (p < a.out_edges.size() && a.out_edges[p] >= 0) {
-              out_tape(p).push_item(v);
-            }
-            if (counts) counts->channel += 2;
-          }
-        }
-      }
-      break;
-    }
-    case FlatActor::Kind::Joiner: {
-      ir::OutTape& out = out_tape(0);
-      for (std::size_t p = 0; p < a.in_rate.size(); ++p) {
-        if (p >= a.in_edges.size() || a.in_edges[p] < 0) continue;
-        for (int k = 0; k < a.in_rate[p]; ++k) {
-          out.push_item(in_tape(p).pop_item());
-          if (counts) counts->channel += 2;
-        }
-      }
-      break;
-    }
+    vm_traced = runtime::fire_actor(a, fstate_[ai], nstate_[ai].get(),
+                                    tbf_[ai].get(), in_tapes_.data(),
+                                    out_tapes_.data(), counts, sink, &tr);
+  } else {
+    runtime::fire_actor(a, fstate_[ai], nstate_[ai].get(), tbf_[ai].get(),
+                        in_tapes_.data(), out_tapes_.data(), counts, sink);
   }
   ++fired_[ai];
 
@@ -471,6 +435,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
     } else if (typed_on_ && !typed_refusal_[i].empty()) {
       a.typed_status = typed_refusal_[i];
     }
+    if (nstate_[i]) a.segment = nstate_[i]->status();
     m.actors.push_back(std::move(a));
   }
 

@@ -216,8 +216,8 @@ class Executor {
   friend class ThreadedExecutor;
 
   // One firing, tallied into `counts` and traced into `tb` (either may be
-  // null), without high-water bookkeeping: the public fire() adds that for
-  // every channel, while threaded workers note only their own channels.
+  // null), without high-water bookkeeping: the public fire() adds that,
+  // while threaded workers note only their own plain channels.
   void fire(int actor, runtime::OpCounts* counts, obs::ThreadBuffer* tb);
   void ensure_input_for(std::int64_t items_needed);
   void run_epoch(const std::vector<std::int64_t>& quota);
@@ -260,6 +260,11 @@ class Executor {
   std::vector<std::int64_t> fired_;
   std::function<double(std::int64_t)> input_gen_;
   std::int64_t input_fed_{0};
+  // High-water bookkeeping for fire(): whether any firing noted the
+  // channels yet, and whether items were fed since the input channel's
+  // last note.
+  bool noted_{false};
+  bool input_unnoted_{false};
   std::int64_t steady_run_{0};
   bool init_done_{false};
   bool steady_marked_{false};

@@ -55,7 +55,10 @@
 //
 // Engines: the workers fire per actor, so a requested Engine::Fused builds
 // the Executor on the per-actor VM instead (its whole-program trace is inherently
-// single-threaded and would only cost set-up time and memory).
+// single-threaded and would only cost set-up time and memory).  A coarse
+// segment is one actor, though, and under either compiled engine it runs its
+// body as one typed fused trace of its own (parallel/segment.cc), so the
+// segment-heavy apps still run fused inside each worker.
 //
 // Determinism: every actor's state, tally, and every channel's FIFO content
 // have exactly one owner thread, so outputs, final filter state, and the

@@ -8,13 +8,17 @@
 #include <bit>
 #include <cstdint>
 #include <cmath>
+#include <cstdlib>
 #include <random>
 #include <string>
+#include <vector>
 
+#include "apps/apps.h"
 #include "ir/dsl.h"
 #include "linear/frequency.h"
 #include "linear/linear_rep.h"
 #include "machine/machine.h"
+#include "opt/compile.h"
 #include "parallel/strategies.h"
 #include "parallel/transforms.h"
 #include "sched/exec.h"
@@ -126,6 +130,78 @@ TEST(Fuse, SplitJoinFusesToOneActor) {
   EXPECT_EQ(fused->native.pop, 1);
   EXPECT_EQ(fused->native.push, 2);
   expect_same_stream(sj, fused, 30);
+}
+
+// Fusing a segment again inlines the segment's own body: the result runs
+// one flat body.  Here the absorbed segment {u, d} fires in whole
+// iterations of 2 items, so the declared init window (2 extra items for
+// avg2) is larger than the flat body needs (1); the surplus just stays
+// buffered and the stream is unchanged.
+TEST(Fuse, FusingASegmentAgainRunsOneFlatBody) {
+  const auto up3 = [] {
+    return filter("u").rates(1, 1, 3)
+        .work(seq({let("x", pop_()), push_(v("x")), push_(v("x") * c(0.5)),
+                   push_(v("x") * c(0.25))}))
+        .node();
+  };
+  const auto avg2 = [] {
+    return filter("a2").rates(2, 1, 1)
+        .work(seq({push_((peek_(0) + peek_(1)) * c(0.5)), discard(1)}))
+        .node();
+  };
+  const auto orig = make_pipeline("p", {up3(), down2("d"), avg2()});
+  const auto inner = fuse_subtree(make_pipeline("ud", {up3(), down2("d")}), "in");
+  const auto outer = fuse_subtree(make_pipeline("p", {inner, avg2()}), "out");
+  ASSERT_NE(outer->native.body, nullptr);
+  ir::visit(outer->native.body, [](const NodeP& n) {
+    EXPECT_FALSE(n->kind == Node::Kind::Native && n->native.body) << n->name;
+  });
+  EXPECT_EQ(outer->native.pop, 2);
+  EXPECT_EQ(outer->native.peek, 4);
+  for (const sched::Engine e : {sched::Engine::Tree, sched::Engine::Vm}) {
+    sched::ExecOptions o;
+    o.engine = e;
+    o.typed = sched::TypedMode::On;
+    sched::Executor want(ir::clone(orig), o);
+    sched::Executor got(make_pipeline("w", {outer}), o);
+    std::vector<double> in;
+    for (int i = 0; i < 64; ++i) in.push_back(0.3 * i - 4.0);
+    want.feed_input(in);
+    got.feed_input(in);
+    const auto a = want.run_steady(20);
+    const auto b = got.run_steady(20);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                std::bit_cast<std::uint64_t>(b[i])) << i;
+    }
+    EXPECT_EQ(got.metrics_snapshot().actors[0].segment,
+              e == sched::Engine::Tree ? "tree" : "fused");
+  }
+}
+
+// A segment whose body cannot run as one fused trace (DtoA's tight feedback
+// loop has no single-appearance schedule) runs per actor on the typed VM,
+// says why in its status, and still computes the same stream.
+TEST(Fuse, RefusedSegmentRunsPerActorOnTheTypedVm) {
+  const NodeP dtoa = apps::make_app("DtoA");
+  const NodeP obs = make_pipeline(
+      "obs", {dtoa->children.begin(), dtoa->children.end() - 1});
+  const NodeP seg = make_pipeline("w", {fuse_subtree(obs, "dtoa_sf")});
+  sched::ExecOptions o;
+  o.engine = sched::Engine::Vm;
+  o.typed = sched::TypedMode::On;
+  sched::Executor want(ir::clone(obs), o);
+  sched::Executor got(seg, o);
+  const auto a = want.run_steady(8);
+  const auto b = got.run_steady(8);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i])) << i;
+  }
+  const std::string status = got.metrics_snapshot().actors[0].segment;
+  EXPECT_EQ(status.rfind("typed-vm:not-single-appearance:", 0), 0u) << status;
 }
 
 TEST(Fuse, RateChangingPipeline) {
@@ -355,11 +431,129 @@ TEST(SelectiveFusion, ReachesTargetAndPreservesStream) {
   expect_same_stream(g, sf, 40);
 }
 
+// A built-in app with its final sink dropped, so its stream reaches the
+// program output edge.
+NodeP observable_app(const std::string& app) {
+  const NodeP g = apps::make_app(app);
+  if (g->kind != Node::Kind::Pipeline || g->children.size() < 2) return g;
+  return make_pipeline(g->name + "_obs", {g->children.begin(),
+                                          g->children.end() - 1});
+}
+
+// `g` under the -O2 preset plus coarsen for 4 workers: the graph the
+// threaded runtime runs, with selective fusion's segments wrapped again by
+// coarsening.
+NodeP coarsened(const NodeP& g) {
+  opt::CompileOptions copts;
+  copts.passes =
+      "validate,analysis-gate,const-fold,linear-combine,frequency,coarsen";
+  copts.exec.threads = 4;
+  return opt::compile(g, copts).graph;
+}
+
 TEST(DataParallelize, PreservesSemantics) {
   auto g = make_pipeline("p", {scaler("a", 2.0), scaler("b", 3.0),
                                accumulator("acc"), scaler("c", 0.5)});
   auto dp = data_parallelize(g, 4);
   expect_same_stream(g, dp, 60);
+  // The apps whose segments used to nest (selective fusion inside coarsen):
+  // flattened bodies must compute the same stream, bit for bit.
+  for (const std::string app : {"BitonicSort", "FFT", "DES", "Serpent"}) {
+    SCOPED_TRACE(app);
+    const NodeP g = observable_app(app);
+    const auto want = run_graph(g, 200);
+    const auto got = run_graph(coarsened(g), 200);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+                std::bit_cast<std::uint64_t>(got[i]))
+          << "diverges at " << i;
+    }
+  }
+}
+
+// No segment body contains a segment: fusing a segment again inlines its
+// body, so no executor ever runs inside another.
+TEST(Coarsen, SegmentsAreFlat) {
+  int segments = 0;
+  for (const auto& app : apps::all_apps()) {
+    const NodeP g = coarsened(apps::make_app(app.name));
+    ir::visit(g, [&](const NodeP& n) {
+      if (n->kind != Node::Kind::Native || !n->native.body) return;
+      ++segments;
+      ir::visit(n->native.body, [&](const NodeP& b) {
+        EXPECT_FALSE(b->kind == Node::Kind::Native && b->native.body)
+            << app.name << ": segment " << n->name << " contains segment "
+            << b->name;
+      });
+    });
+  }
+  EXPECT_GT(segments, 0);
+}
+
+// What a segment's body runs on follows the executor that owns it, never
+// SIT_ENGINE: coarsened DCT is bit-equal under Tree / Vm / Fused at 1 and 4
+// threads, its segments report the engine they ran, and those reports do
+// not move when SIT_ENGINE says otherwise.
+TEST(Coarsen, SegmentEngineFollowsExecutor) {
+  const NodeP g = coarsened(observable_app("DCT"));
+  struct Run {
+    std::vector<double> out;
+    std::vector<std::int64_t> firings;
+    std::vector<std::string> status;  // per segment actor
+  };
+  const auto run = [&g](sched::Engine engine, int threads) {
+    sched::ExecOptions o;
+    o.engine = engine;
+    o.threads = threads;
+    o.typed = sched::TypedMode::On;
+    sched::ThreadedExecutor ex(ir::clone(g), o);
+    ex.set_input_generator([](std::int64_t i) {
+      return static_cast<double>((i * 7919) % 255) - 127.0;
+    });
+    Run r;
+    r.out = ex.run_steady(6);
+    r.firings = ex.firings();
+    for (const auto& a : ex.metrics_snapshot().actors) {
+      if (!a.segment.empty()) r.status.push_back(a.segment);
+    }
+    return r;
+  };
+  const Run tree = run(sched::Engine::Tree, 1);
+  ASSERT_FALSE(tree.status.empty());
+  for (const auto& s : tree.status) EXPECT_EQ(s, "tree");
+  ASSERT_FALSE(tree.out.empty());
+  std::vector<Run> compiled;
+  for (const sched::Engine e :
+       {sched::Engine::Tree, sched::Engine::Vm, sched::Engine::Fused}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(static_cast<int>(e) * 10 + threads);
+      const Run r = run(e, threads);
+      ASSERT_EQ(r.out.size(), tree.out.size());
+      for (std::size_t i = 0; i < r.out.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(r.out[i]),
+                  std::bit_cast<std::uint64_t>(tree.out[i]))
+            << "diverges at " << i;
+      }
+      EXPECT_EQ(r.firings, tree.firings);
+      if (e == sched::Engine::Tree) {
+        EXPECT_EQ(r.status, tree.status);
+      } else {
+        compiled.push_back(r);
+      }
+    }
+  }
+  for (const auto& s : compiled.front().status) EXPECT_EQ(s, "fused");
+  for (const auto& r : compiled) EXPECT_EQ(r.status, compiled.front().status);
+
+  const char* old = std::getenv("SIT_ENGINE");
+  const std::string saved = old != nullptr ? old : "";
+  setenv("SIT_ENGINE", "tree", 1);
+  const Run under_tree_env = run(sched::Engine::Vm, 4);
+  unsetenv("SIT_ENGINE");
+  const Run unset_env = run(sched::Engine::Vm, 4);
+  if (old != nullptr) setenv("SIT_ENGINE", saved.c_str(), 1);
+  EXPECT_EQ(under_tree_env.status, unset_env.status);
+  EXPECT_EQ(unset_env.status, compiled.front().status);
 }
 
 TEST(FineGrained, PreservesSemantics) {

@@ -158,6 +158,92 @@ TEST(Exec, FeedbackLoopEcho) {
   EXPECT_DOUBLE_EQ(out[2], 1.75);
 }
 
+// fire() notes high water only where a firing can have moved it: every
+// channel on the first firing (initial items sit on back edges), then the
+// fired actor's channels and the input after a feed.  The marks must equal
+// noting every channel after every firing.  Sweeping in reverse topological
+// order makes a downstream actor, not the input's consumer, fire first
+// after most feeds.
+TEST(Exec, HighWaterNotesOnlyWhatAFiringMoved) {
+  auto body = filter("add")
+                  .rates(2, 2, 2)
+                  .work(seq({let("s", pop_() + pop_()), push_(v("s")), push_(v("s"))}))
+                  .node();
+  auto gain = filter("gain").rates(1, 1, 1).work(seq({push_(pop_() * c(0.5))})).node();
+  auto avg = filter("avg")
+                 .rates(3, 1, 1)
+                 .work(seq({push_((peek_(0) + peek_(1) + peek_(2)) / c(3.0)),
+                            discard(1)}))
+                 .node();
+  const NodeP graphs[] = {
+      make_pipeline("fb", {pass("pre", 1, 1),
+                           make_feedback("echo", roundrobin_join({1, 1}), body,
+                                         roundrobin_split({1, 1}), gain, 3,
+                                         {0.0, 1.0, 2.0})}),
+      make_pipeline("p", {pass("up", 1, 3), avg, pass("down", 2, 1)}),
+  };
+  for (const NodeP& g : graphs) {
+    for (const bool reverse : {false, true}) {
+      SCOPED_TRACE(g->name + (reverse ? " reverse" : " forward"));
+      Executor ex(ir::clone(g));
+      Executor ref(ir::clone(g));
+      const Schedule& s = ex.schedule();
+      std::vector<int> order = s.order;
+      if (reverse) order.assign(s.order.rbegin(), s.order.rend());
+      const auto epoch = [&order](Executor& e, std::vector<std::int64_t> quota,
+                                  bool note_all) {
+        bool progress = true;
+        while (progress) {
+          progress = false;
+          for (const int a : order) {
+            while (quota[static_cast<std::size_t>(a)] > 0 && e.can_fire(a)) {
+              e.fire(a);
+              if (note_all) {
+                for (std::size_t c = 0; c < e.graph().edges.size(); ++c) {
+                  e.channel(static_cast<int>(c)).note_high_water();
+                }
+              }
+              --quota[static_cast<std::size_t>(a)];
+              progress = true;
+            }
+          }
+        }
+      };
+      std::int64_t next = 0;
+      const auto feed = [&next](Executor& e, std::int64_t n) {
+        std::vector<double> items;
+        for (std::int64_t i = 0; i < n; ++i) items.push_back(0.5 * (next + i));
+        e.feed_input(items);
+      };
+      for (Executor* e : {&ex, &ref}) {
+        next = 0;
+        feed(*e, s.input_for_init);
+        next += s.input_for_init;
+        epoch(*e, s.init_fires, e == &ref);
+        for (int k = 0; k < 5; ++k) {
+          feed(*e, s.input_per_steady);
+          next += s.input_per_steady;
+          epoch(*e, s.reps, e == &ref);
+        }
+      }
+      for (std::size_t c = 0; c < ex.graph().edges.size(); ++c) {
+        EXPECT_EQ(ex.channel(static_cast<int>(c)).high_water(),
+                  ref.channel(static_cast<int>(c)).high_water())
+            << "edge " << c;
+      }
+    }
+  }
+  // One firing away from the back edge already marks its initial items.
+  Executor one(ir::clone(graphs[0]));
+  one.feed_input({1.0});
+  one.fire(one.schedule().order.front());
+  for (std::size_t c = 0; c < one.graph().edges.size(); ++c) {
+    EXPECT_EQ(one.channel(static_cast<int>(c)).high_water(),
+              one.channel(static_cast<int>(c)).size())
+        << "edge " << c;
+  }
+}
+
 TEST(Exec, PeekingFilterSlidingWindow) {
   auto avg = filter("avg")
                  .rates(3, 1, 1)

@@ -541,6 +541,24 @@ TEST(SpscRing, PopManyAndUnderrunThrow) {
   EXPECT_TRUE(same_bits(r.peek_item(0), 5.0));
 }
 
+// The ring window (the typed VM's mac-loop and fused segments read through
+// it) shows exactly the live items in FIFO order, across the wrap, and
+// refuses more than are live.
+TEST(SpscRing, WindowShowsLiveItemsAcrossTheWrap) {
+  SpscRing r(16);
+  for (int i = 0; i < 12; ++i) r.push_item(static_cast<double>(i));
+  r.pop_many(10);
+  for (int i = 12; i < 24; ++i) r.push_item(static_cast<double>(i));
+  ir::TapeWindow w;
+  ASSERT_TRUE(r.window(14, &w));
+  for (std::size_t k = 0; k < 14; ++k) {
+    EXPECT_TRUE(same_bits(w[k], static_cast<double>(10 + k))) << k;
+  }
+  EXPECT_FALSE(r.window(15, &w));
+  EXPECT_TRUE(r.window(0, &w));
+  EXPECT_FALSE(r.window(-1, &w));
+}
+
 // Two real threads hammer one ring with coprime burst sizes through a
 // capacity small enough to wrap thousands of times.  The consumer checks the
 // exact item sequence -- any lost ordering, torn read, or stale cache would

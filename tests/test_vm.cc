@@ -610,18 +610,42 @@ class ShiftedIn final : public ir::InTape {
   int pops_{0};
 };
 
+// Forwards to a Channel and counts item-by-item peeks.  `windowed` says
+// whether it also exposes the channel's ring window, which is what lets
+// the typed VM's mac-loop take its raw loop.
+class CountingIn final : public ir::InTape {
+ public:
+  CountingIn(Channel& ch, bool windowed) : ch_(ch), windowed_(windowed) {}
+  double peek_item(int i) override {
+    ++peeks;
+    return ch_.peek_item(i);
+  }
+  double pop_item() override { return ch_.pop_item(); }
+  void pop_many(int n) override { ch_.pop_many(n); }
+  bool window(int n, ir::TapeWindow* w) override {
+    return windowed_ && ch_.window(n, w);
+  }
+  std::int64_t peeks{0};
+
+ private:
+  Channel& ch_;
+  bool windowed_;
+};
+
 struct MacRun {
   std::vector<double> out;
   OpCounts counts;
   std::string error;
+  std::int64_t peeks{0};  // item-by-item peeks (offset < 0 only)
 };
 
 // Fire `spec` up to `firings` times over `items` input items on the tree or
 // (typed) on the per-actor VM, stopping at the first error.  offset >= 0
 // runs every firing through a ShiftedIn and then pops one item from the
-// underlying channel, the way a fission replica does.
+// underlying channel, the way a fission replica does; otherwise firings
+// read the channel through a CountingIn (windowed or not).
 MacRun run_mac(const ir::FilterSpec& spec, bool typed, int items, int firings,
-               int offset = -1) {
+               int offset = -1, bool windowed = true) {
   Channel in, out;
   for (int i = 0; i < items; ++i) in.push_item(0.37 * i - 1.0);
   FilterState st = Interp::init_state(spec);
@@ -632,10 +656,12 @@ MacRun run_mac(const ir::FilterSpec& spec, bool typed, int items, int firings,
     bound = std::make_unique<runtime::TypedBound>(prog, st);
   }
   MacRun r;
+  CountingIn counting(in, windowed);
   try {
     for (int t = 0; t < firings; ++t) {
       ShiftedIn shifted(in, offset);
-      ir::InTape& tape = offset >= 0 ? static_cast<ir::InTape&>(shifted) : in;
+      ir::InTape& tape =
+          offset >= 0 ? static_cast<ir::InTape&>(shifted) : counting;
       if (bound) {
         bound->run_work(tape, out, &r.counts);
       } else {
@@ -646,14 +672,16 @@ MacRun run_mac(const ir::FilterSpec& spec, bool typed, int items, int firings,
   } catch (const std::runtime_error& e) {
     r.error = e.what();
   }
+  r.peeks = counting.peeks;
   while (!out.empty()) r.out.push_back(out.pop_item());
   return r;
 }
 
 void expect_mac_matches_tree(const ir::FilterSpec& spec, int items, int firings,
-                             const std::string& what, int offset = -1) {
+                             const std::string& what, int offset = -1,
+                             bool windowed = true) {
   const MacRun t = run_mac(spec, false, items, firings, offset);
-  const MacRun v = run_mac(spec, true, items, firings, offset);
+  const MacRun v = run_mac(spec, true, items, firings, offset, windowed);
   expect_same_doubles(t.out, v.out, what);
   expect_same_counts(t.counts, v.counts, what);
   EXPECT_EQ(t.error, v.error) << what;
@@ -684,26 +712,63 @@ TEST(VmMacLoop, CollapsesAndMatchesTree) {
   runtime::set_debug_channel_checks(false);
 }
 
+// Both paths: over a windowed tape every clear firing takes the raw loop and
+// the failing one falls to the checked kernel; over a windowless tape every
+// firing is checked.  Either way the error and the partial counts match.
 TEST(VmMacLoop, ErrorsMatchTreeWithPartialCounts) {
   struct Restore {
     ~Restore() { runtime::set_debug_channel_checks(false); }
   } restore;
-  // Debug window check: the loop runs to 6 over a declared window of 4.
-  runtime::set_debug_channel_checks(true);
-  const MacRun dbg = run_mac(mac_filter(4, 0, 6, 1, true), true, 40, 3);
-  EXPECT_EQ(dbg.error,
-            "peek out of bounds in 'mac': peek(4) after 0 pop(s) exceeds the "
-            "declared window of 4");
-  expect_mac_matches_tree(mac_filter(4, 0, 6, 1, true), 40, 3, "debug window");
+  for (const bool windowed : {true, false}) {
+    const std::string tape = windowed ? " (windowed)" : " (windowless)";
+    // Debug window check: the loop runs to 6 over a declared window of 4.
+    runtime::set_debug_channel_checks(true);
+    const MacRun dbg =
+        run_mac(mac_filter(4, 0, 6, 1, true), true, 40, 3, -1, windowed);
+    EXPECT_EQ(dbg.error,
+              "peek out of bounds in 'mac': peek(4) after 0 pop(s) exceeds the "
+              "declared window of 4");
+    expect_mac_matches_tree(mac_filter(4, 0, 6, 1, true), 40, 3,
+                            "debug window" + tape, -1, windowed);
+    runtime::set_debug_channel_checks(false);
+    // The channel runs dry inside the loop of the third firing.
+    const MacRun dry =
+        run_mac(mac_filter(8, 0, 8, 1, true), true, 9, 3, -1, windowed);
+    EXPECT_EQ(dry.error, "peek(7) beyond channel contents (7)");
+    expect_mac_matches_tree(mac_filter(8, 0, 8, 1, true), 9, 3,
+                            "channel underflow" + tape, -1, windowed);
+    // The coefficient array is shorter than the loop.
+    const MacRun arr =
+        run_mac(mac_filter(8, 0, 8, 1, true, 5), true, 40, 3, -1, windowed);
+    EXPECT_EQ(arr.error, "array index out of bounds: h[5]");
+    expect_mac_matches_tree(mac_filter(8, 0, 8, 1, true, 5), 40, 3,
+                            "coefficient bounds" + tape, -1, windowed);
+    // ... by exactly one: the last term reads past the end.
+    const MacRun edge =
+        run_mac(mac_filter(8, 0, 8, 1, true, 7), true, 40, 3, -1, windowed);
+    EXPECT_EQ(edge.error, "array index out of bounds: h[7]");
+    expect_mac_matches_tree(mac_filter(8, 0, 8, 1, true, 7), 40, 3,
+                            "last coefficient" + tape, -1, windowed);
+  }
+}
+
+// A ring-backed tape hands the whole range over as one window: the typed
+// VM's mac-loop then peeks nothing item by item, and a tape without a
+// window is peeked once per term, with the same outputs and counts.
+TEST(VmMacLoop, RingWindowTakesTheRawLoop) {
+  for (const bool debug : {false, true}) {
+    runtime::set_debug_channel_checks(debug);
+    for (const bool coef : {true, false}) {
+      const auto spec = mac_filter(8, 1, 8, 2, coef);
+      const std::string what = std::string(coef ? "mac" : "sum") +
+                               (debug ? " (debug checks)" : "");
+      EXPECT_EQ(run_mac(spec, true, 40, 30, -1, true).peeks, 0) << what;
+      EXPECT_EQ(run_mac(spec, true, 40, 30, -1, false).peeks, 30 * 4) << what;
+      expect_mac_matches_tree(spec, 40, 30, what, -1, true);
+      expect_mac_matches_tree(spec, 40, 30, what, -1, false);
+    }
+  }
   runtime::set_debug_channel_checks(false);
-  // The channel runs dry inside the loop of the third firing.
-  const MacRun dry = run_mac(mac_filter(8, 0, 8, 1, true), true, 9, 3);
-  EXPECT_EQ(dry.error, "peek(7) beyond channel contents (7)");
-  expect_mac_matches_tree(mac_filter(8, 0, 8, 1, true), 9, 3, "channel underflow");
-  // The coefficient array is shorter than the loop.
-  const MacRun arr = run_mac(mac_filter(8, 0, 8, 1, true, 5), true, 40, 3);
-  EXPECT_EQ(arr.error, "array index out of bounds: h[5]");
-  expect_mac_matches_tree(mac_filter(8, 0, 8, 1, true, 5), 40, 3, "coefficient bounds");
 }
 
 TEST(VmMacLoop, ReplicaThroughOffsetTapeMatchesTree) {
@@ -773,6 +838,20 @@ TEST(RingChannel, PushManyWrapsAndCounts) {
   for (int i = 0; i < 100; ++i) ASSERT_EQ(ch.pop_item(), 1000.0 + i);
   EXPECT_TRUE(ch.empty());
   EXPECT_THROW(ch.pop_item(), std::runtime_error);
+}
+
+TEST(RingChannel, WindowShowsLiveItemsAcrossTheWrap) {
+  Channel ch;
+  for (int i = 0; i < 14; ++i) ch.push_item(static_cast<double>(i));
+  ch.pop_many(12);
+  for (int i = 14; i < 28; ++i) ch.push_item(static_cast<double>(i));
+  ir::TapeWindow w;
+  ASSERT_TRUE(ch.window(16, &w));
+  for (std::size_t k = 0; k < 16; ++k) {
+    EXPECT_EQ(w[k], static_cast<double>(12 + k)) << k;
+  }
+  EXPECT_FALSE(ch.window(17, &w));
+  EXPECT_FALSE(ch.window(-1, &w));
 }
 
 TEST(RingChannel, PeekBeyondContentsThrows) {
